@@ -46,6 +46,9 @@ from .errors import (
 
 _MAX_LINE = 4096
 _STDERR_TAIL = 8192
+# Largest accepted frame edge: 16K video fits, and a hostile header cannot
+# make a reader ask for a multi-gigabyte payload.
+_MAX_DIMENSION = 16384
 
 
 class PixelFormat(Enum):
@@ -96,6 +99,8 @@ class StreamHeader:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("frame dimensions must be positive")
+        if self.width > _MAX_DIMENSION or self.height > _MAX_DIMENSION:
+            raise ValueError(f"frame dimensions must be at most {_MAX_DIMENSION}")
         if self.fps_num < 1 or self.fps_den < 1:
             raise ValueError("frame rate must be positive")
         if self.pixel_format is PixelFormat.YUV420 and (
@@ -137,9 +142,9 @@ def parse_y4m_header(stream: BinaryIO) -> StreamHeader:
     """Read and decode the Y4M signature line from ``stream``.
 
     Raises MalformedHeader when the signature or a required tag is missing
-    or undecodable, UnsupportedColorspace for C tags outside the supported
-    families.  A missing F tag defaults to 30:1, a missing C tag to the
-    conventional 4:2:0.
+    or undecodable or when W or H exceeds 16384, UnsupportedColorspace for
+    C tags outside the supported families.  A missing F tag defaults to
+    30:1, a missing C tag to the conventional 4:2:0.
     """
     line = stream.readline(_MAX_LINE)
     tokens = line.decode("ascii", "replace").rstrip("\n").split(" ")

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionMismatch
 from .frame_io import Frame, PixelFormat
@@ -91,15 +90,36 @@ def downscale(gray: np.ndarray, factor: int) -> np.ndarray:
     if factor == 1:
         return gray
     h, w = gray.shape
-    row_cuts = np.arange(0, h, factor)
-    col_cuts = np.arange(0, w, factor)
-    sums = np.add.reduceat(gray.astype(np.int64), row_cuts, axis=0)
-    sums = np.add.reduceat(sums, col_cuts, axis=1)
-    row_counts = np.minimum(row_cuts + factor, h) - row_cuts
-    col_counts = np.minimum(col_cuts + factor, w) - col_cuts
-    counts = row_counts[:, None] * col_counts[None, :]
+    # Sum the strided views, rows first and then columns, so the call count
+    # is min(s, h) + min(s, w) and nothing larger than the frame is
+    # allocated whatever the factor.  The accumulator is the narrowest
+    # unsigned type that holds 2 * sum + count for the largest tile.
+    tile_rows, tile_cols = min(factor, h), min(factor, w)
+    dtype = np.min_scalar_type(511 * tile_rows * tile_cols)
+    rows = np.zeros((-(-h // factor), w), dtype)
+    for dy in range(tile_rows):
+        view = gray[dy::factor]
+        rows[: view.shape[0]] += view
+    sums = np.zeros((rows.shape[0], -(-w // factor)), dtype)
+    for dx in range(tile_cols):
+        view = rows[:, dx::factor]
+        sums[:, : view.shape[1]] += view
+    if h % factor or w % factor:
+        counts = np.multiply.outer(
+            _tile_lengths(h, factor), _tile_lengths(w, factor)
+        ).astype(dtype)
+    else:
+        counts = factor * factor
     # round(sum / count) half-up without floats: (2 sum + count) // (2 count)
-    return ((2 * sums + counts) // (2 * counts)).astype(np.uint8)
+    sums *= 2
+    sums += counts
+    sums //= 2 * counts
+    return sums.astype(np.uint8)
+
+
+def _tile_lengths(size: int, factor: int) -> np.ndarray:
+    """In-bounds length of each factor-wide tile along an axis of ``size``."""
+    return np.minimum(size - np.arange(0, size, factor), factor)
 
 
 def abs_diff(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
@@ -124,10 +144,21 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
         raise ValueError("dilation radius must be >= 0")
     if radius == 0 or not mask.any():
         return mask
-    grown = ndimage.maximum_filter(
-        mask.astype(np.uint8), size=2 * radius + 1, mode="constant", cval=0
-    )
-    return grown.astype(bool)
+    # Separable shift-OR: OR 2r+1 row-shifted slices of a zero-padded copy,
+    # then 2r+1 column-shifted slices of the result.
+    h, w = mask.shape
+    span = 2 * radius + 1
+    padded = np.zeros((h + 2 * radius, w), dtype=bool)
+    padded[radius : radius + h] = mask
+    tall = padded[:h].copy()
+    for shift in range(1, span):
+        tall |= padded[shift : shift + h]
+    padded = np.zeros((h, w + 2 * radius), dtype=bool)
+    padded[:, radius : radius + w] = tall
+    grown = padded[:, :w].copy()
+    for shift in range(1, span):
+        grown |= padded[:, shift : shift + w]
+    return grown
 
 
 def mask_grid_shape(width: int, height: int, factor: int) -> tuple[int, int]:
@@ -167,19 +198,27 @@ def apply_mask(frame: Frame, mask: np.ndarray) -> Frame:
     if mask.shape != (h, w):
         raise DimensionMismatch(f"mask is {mask.shape}, frame is {(h, w)}")
     raw = np.frombuffer(frame.data, dtype=np.uint8)
-    if frame.pixel_format is PixelFormat.GRAY8:
-        kept = raw.reshape(h, w) * mask
-        data = kept.tobytes()
-    elif frame.pixel_format is PixelFormat.RGB24:
-        kept = raw.reshape(3, h, w) * mask[None, :, :]
-        data = kept.tobytes()
-    else:
-        luma = raw[: w * h].reshape(h, w) * mask
-        chroma_mask = mask.reshape(h // 2, 2, w // 2, 2).any(axis=(1, 3))
-        u = raw[w * h : w * h + w * h // 4].reshape(h // 2, w // 2) * chroma_mask
-        v = raw[w * h + w * h // 4 :].reshape(h // 2, w // 2) * chroma_mask
-        data = luma.tobytes() + u.tobytes() + v.tobytes()
-    return Frame(frame.index, w, h, frame.pixel_format, data)
+    kept = np.empty_like(raw)
+    # Every full-resolution plane (gray, Y, or R, G and B) takes the mask as
+    # is; 4:2:0 U and V then take the half-resolution chroma mask.
+    planes = 3 if frame.pixel_format is PixelFormat.RGB24 else 1
+    full_end = planes * h * w
+    np.multiply(
+        raw[:full_end].reshape(planes, h, w),
+        mask,
+        out=kept[:full_end].reshape(planes, h, w),
+    )
+    if frame.pixel_format is PixelFormat.YUV420:
+        chroma_mask = (
+            mask[0::2, 0::2] | mask[0::2, 1::2] | mask[1::2, 0::2] | mask[1::2, 1::2]
+        )
+        chroma_shape = (2, h // 2, w // 2)
+        np.multiply(
+            raw[full_end:].reshape(chroma_shape),
+            chroma_mask,
+            out=kept[full_end:].reshape(chroma_shape),
+        )
+    return Frame(frame.index, w, h, frame.pixel_format, kept.tobytes())
 
 
 class OutcomeKind(Enum):

@@ -101,6 +101,33 @@ def test_parse_header_malformed(text):
         parse_y4m_header(header_stream(text))
 
 
+class _SmallReadsOnly(io.BytesIO):
+    """Stream that fails the test if anyone asks it for a large payload."""
+
+    def read(self, size=-1):
+        assert 0 <= size <= 1 << 20, f"read({size}) requested"
+        return super().read(size)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "YUV4MPEG2 W100000 H100000\n",
+        "YUV4MPEG2 W16385 H2 Cmono\n",
+        "YUV4MPEG2 W2 H16385 Cmono\n",
+    ],
+)
+def test_reader_rejects_oversized_header_before_reading_a_frame(text):
+    stream = _SmallReadsOnly(text.encode("ascii") + b"FRAME\n" + b"\x00" * 64)
+    with pytest.raises(MalformedHeader):
+        Y4MReader(stream)
+
+
+def test_parse_header_accepts_16k_edges():
+    header = parse_y4m_header(header_stream("YUV4MPEG2 W16384 H16384 C420\n"))
+    assert (header.width, header.height) == (16384, 16384)
+
+
 @pytest.mark.parametrize("colorspace", ["C422", "C411", "C444alpha", "Cfoo"])
 def test_parse_header_unsupported_colorspace(colorspace):
     with pytest.raises(UnsupportedColorspace):

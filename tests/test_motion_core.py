@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,34 @@ def test_downscale_matches_bruteforce(arr, factor):
     assert got.tolist() == expected
 
 
+@pytest.mark.parametrize("factor", [2, 11, 12, 16, 17])
+@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("fill", ["all-255", "random"])
+def test_downscale_production_factors_match_bruteforce(factor, ragged, fill):
+    """Factors either side of the accumulator's width switch, with all-255
+    input giving the largest tile sums and ragged shapes the partial tiles."""
+    shape = (2 * factor + ragged, 3 * factor - ragged)
+    if fill == "all-255":
+        arr = np.full(shape, 255, dtype=np.uint8)
+    else:
+        arr = np.random.default_rng(factor).integers(0, 256, shape, dtype=np.uint8)
+    assert downscale(arr, factor).tolist() == oracle_downscale(arr.tolist(), factor)
+
+
+def test_downscale_huge_factor_allocates_only_frame_sized_memory():
+    """A factor far beyond the frame makes one partial tile; padding the
+    frame out to the factor would need about factor**2 bytes."""
+    arr = np.full((3, 5), 255, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        out = downscale(arr, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == [[255]]
+    assert peak < 64 * 1024
+
+
 def test_abs_diff_values_and_symmetry():
     a = np.array([[10, 200]], dtype=np.uint8)
     b = np.array([[40, 50]], dtype=np.uint8)
@@ -182,6 +211,24 @@ def test_dilate_clips_at_edges():
     st.integers(0, 3),
 )
 def test_dilate_matches_bruteforce(mask, radius):
+    got = dilate(mask, radius)
+    assert got.tolist() == oracle_dilate(mask.tolist(), radius)
+
+
+@given(
+    npst.arrays(
+        dtype=bool,
+        shape=st.one_of(
+            st.tuples(st.just(1), st.integers(1, 40)),
+            st.tuples(st.integers(1, 40), st.just(1)),
+            st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        ),
+    ),
+    st.sampled_from([5, 9]),
+)
+def test_dilate_production_radii_match_bruteforce(mask, radius):
+    """The default radius (5) and a larger one, including strips narrower
+    than the kernel, where every shifted slice reaches past an edge."""
     got = dilate(mask, radius)
     assert got.tolist() == oracle_dilate(mask.tolist(), radius)
 
@@ -303,6 +350,22 @@ def test_apply_mask_matches_bruteforce(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     frame = random_frame(rng, width, height, pixel_format)
     mask = data.draw(npst.arrays(dtype=bool, shape=(height, width)))
+    assert apply_mask(frame, mask).data == oracle_apply_mask(frame, mask.tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_apply_mask_yuv_chroma_kept_from_each_luma_site(seed):
+    """Chroma cells kept through exactly one luma site, for each of the
+    four sites of a 2x2 cell, plus random extra kept luma."""
+    rng = np.random.default_rng(seed)
+    cells = (12, 16)
+    frame = random_frame(rng, 2 * cells[1], 2 * cells[0], PixelFormat.YUV420)
+    site = rng.integers(-1, 4, cells)  # -1 leaves the chroma cell unkept
+    assert set(np.unique(site)) == {-1, 0, 1, 2, 3}
+    mask = rng.random((2 * cells[0], 2 * cells[1])) < 0.05
+    for dy in (0, 1):
+        for dx in (0, 1):
+            mask[dy::2, dx::2] |= site == 2 * dy + dx
     assert apply_mask(frame, mask).data == oracle_apply_mask(frame, mask.tolist())
 
 
