@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import ExitStack, contextmanager
 from statistics import fmean, stdev
 
 from .errors import MotionSieveError, SidecarMismatch, ZeroInput
@@ -24,10 +25,11 @@ from .frame_io import (
     StreamHeader,
     Y4MReader,
     Y4MWriter,
+    check_template,
     count_y4m_frames,
 )
 from .motion_core import MotionConfig
-from .pipeline import run_pipeline
+from .pipeline import PipelineReport, run_pipeline
 from .reconstruct import reconstruct_files
 from .sidecar import SidecarWriter, read_sidecar
 from .stats import (
@@ -126,13 +128,18 @@ def _resolve_motion(ns) -> tuple[MotionConfig, int, str | None, str | None]:
     if queue_capacity < 1:
         raise _UsageError("queue_capacity must be >= 1")
 
-    decode_cmd = pick("decode_cmd")
-    encode_cmd = pick("encode_cmd")
-    if decode_cmd is not None and "{input}" not in decode_cmd:
-        raise _UsageError("decode command template must contain {input}")
-    if encode_cmd is not None and "{output}" not in encode_cmd:
-        raise _UsageError("encode command template must contain {output}")
+    decode_cmd = _checked_template("decode", pick("decode_cmd"))
+    encode_cmd = _checked_template("encode", pick("encode_cmd"))
     return config, queue_capacity, decode_cmd, encode_cmd
+
+
+def _checked_template(role: str, template: str | None) -> str | None:
+    if template is not None:
+        try:
+            check_template(role, template)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+    return template
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -167,34 +174,34 @@ def _wrap_stream(stream, ns):
     return Y4MReader(stream)
 
 
-def _open_compress_source(ns, decode_cmd):
-    """Open the input per flags.  Returns (source, closer, bytes_in)."""
+@contextmanager
+def _owned(stream):
+    """Close ``stream`` after the block; if the block raised, abort it
+    instead (codec children are killed) and keep the block's error."""
+    try:
+        yield stream
+    except BaseException:
+        try:
+            getattr(stream, "abort", stream.close)()
+        except Exception:
+            pass
+        raise
+    stream.close()
+
+
+def _open_source(ns, decode_cmd, streams: ExitStack):
+    """Open the input per flags as a frame source whose streams
+    ``streams`` owns; stdin is not ours to close."""
     if decode_cmd and getattr(ns, "raw_format", None):
         raise _UsageError("--raw-format cannot be combined with --decode-cmd")
-    if decode_cmd:
-        if ns.input == "-":
-            raise _UsageError("--decode-cmd needs a real input file, not -")
-        _require_file(ns.input)
-        decoder = CodecDecoder(decode_cmd, ns.input)
-        return decoder, decoder, os.path.getsize(ns.input)
     if ns.input == "-":
-        return _wrap_stream(sys.stdin.buffer, ns), None, None
+        if decode_cmd:
+            raise _UsageError("--decode-cmd needs a real input file, not -")
+        return _wrap_stream(sys.stdin.buffer, ns)
     _require_file(ns.input)
-    reader = _wrap_stream(open(ns.input, "rb"), ns)
-    return reader, reader, os.path.getsize(ns.input)
-
-
-def _quiet_abort(sink) -> None:
-    if sink is None:
-        return
-    try:
-        abort = getattr(sink, "abort", None)
-        if abort is not None:
-            abort()
-        else:
-            sink.close()
-    except Exception:
-        pass
+    if decode_cmd:
+        return streams.enter_context(_owned(CodecDecoder(decode_cmd, ns.input)))
+    return _wrap_stream(streams.enter_context(_owned(open(ns.input, "rb"))), ns)
 
 
 def _emit_json(text: str, dest: str) -> None:
@@ -205,23 +212,26 @@ def _emit_json(text: str, dest: str) -> None:
             handle.write(text)
 
 
-def cmd_compress(ns) -> int:
-    config, queue_capacity, decode_cmd, encode_cmd = _resolve_motion(ns)
-    prefix = ns.output
-    video_final = prefix + (".enc" if encode_cmd else ".y4m")
-    sidecar_final = prefix + ".csv"
-    video_partial = video_final + ".partial"
-    sidecar_partial = sidecar_final + ".partial"
+def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]:
+    """Compress the input into <prefix>.y4m (or .enc) and <prefix>.csv.
 
-    source, closer, bytes_in = _open_compress_source(ns, decode_cmd)
-    video_sink = None
-    sidecar_file = None
-    try:
+    Both are written as *.partial and renamed into place only after every
+    stream closed cleanly; a crashed run leaves the *.partial files behind
+    so it is never mistaken for a complete one.  Returns the run's report
+    and the two final paths.
+    """
+    config, queue_capacity, decode_cmd, encode_cmd = motion
+    paths = prefix + (".enc" if encode_cmd else ".y4m"), prefix + ".csv"
+    video_partial, sidecar_partial = (path + ".partial" for path in paths)
+    with ExitStack() as streams:
+        source = _open_source(ns, decode_cmd, streams)
         if encode_cmd:
             video_sink = CodecEncoder(encode_cmd, video_partial, source.header)
         else:
             video_sink = Y4MWriter(open(video_partial, "wb"), source.header)
+        streams.enter_context(_owned(video_sink))
         sidecar_file = open(sidecar_partial, "w", encoding="utf-8", newline="")
+        streams.enter_context(_owned(sidecar_file))
         report = run_pipeline(
             source,
             config,
@@ -229,23 +239,16 @@ def cmd_compress(ns) -> int:
             SidecarWriter(sidecar_file),
             queue_capacity=queue_capacity,
         )
-        if closer is not None:
-            closer.close()
-            closer = None
-        video_sink.close()
-        video_sink = None
-        sidecar_file.close()
-        sidecar_file = None
-        os.replace(video_partial, video_final)
-        os.replace(sidecar_partial, sidecar_final)
-    except BaseException:
-        # Leave *.partial behind so a crashed run is never mistaken for a
-        # complete one.
-        _quiet_abort(video_sink)
-        _quiet_abort(sidecar_file)
-        _quiet_abort(closer)
-        raise
+    for path in paths:
+        os.replace(path + ".partial", path)
+    return report, paths
 
+
+def cmd_compress(ns) -> int:
+    report, (video_final, sidecar_final) = _compress_once(
+        ns, _resolve_motion(ns), ns.output
+    )
+    bytes_in = None if ns.input == "-" else os.path.getsize(ns.input)
     bytes_out = os.path.getsize(video_final) + os.path.getsize(sidecar_final)
     stats = CompressionStats(
         report.frames_in, report.frames_out, bytes_in, bytes_out
@@ -269,23 +272,14 @@ def cmd_compress(ns) -> int:
 
 
 def cmd_reconstruct(ns) -> int:
-    decode_cmd = ns.decode_cmd
-    if decode_cmd is not None and "{input}" not in decode_cmd:
-        raise _UsageError("decode command template must contain {input}")
+    decode_cmd = _checked_template("decode", ns.decode_cmd)
     _require_file(ns.input)
     _require_file(ns.sidecar)
     with open(ns.sidecar, "r", encoding="utf-8", newline="") as handle:
         records = read_sidecar(handle)
-    if decode_cmd:
-        source = CodecDecoder(decode_cmd, ns.input)
-    else:
-        source = Y4MReader(open(ns.input, "rb"))
-    try:
+    with ExitStack() as streams:
+        source = _open_source(ns, decode_cmd, streams)
         paths = reconstruct_files(source, source.header, records, ns.output)
-        source.close()
-    except BaseException:
-        _quiet_abort(source)
-        raise
     for path in paths:
         sys.stdout.write(f"{path}\n")
     return 0
@@ -370,51 +364,18 @@ def _emit_stats_outputs(table: str, payload: str, dest: str | None) -> None:
 
 
 def cmd_bench(ns) -> int:
-    config, queue_capacity, decode_cmd, encode_cmd = _resolve_motion(ns)
+    motion = _resolve_motion(ns)
     if ns.replicates < 1:
         raise _UsageError("replicates must be >= 1")
     if ns.input == "-":
         raise _UsageError("bench needs a re-readable input file, not -")
-    _require_file(ns.input)
 
     reports = []
     with tempfile.TemporaryDirectory(prefix="motionsieve-bench-") as tmp:
         for index in range(ns.replicates):
-            source, closer, _ = _open_compress_source(ns, decode_cmd)
-            prefix = os.path.join(tmp, f"replicate{index}")
-            video_sink = None
-            sidecar_file = None
-            try:
-                if encode_cmd:
-                    video_sink = CodecEncoder(
-                        encode_cmd, prefix + ".enc", source.header
-                    )
-                else:
-                    video_sink = Y4MWriter(
-                        open(prefix + ".y4m", "wb"), source.header
-                    )
-                sidecar_file = open(
-                    prefix + ".csv", "w", encoding="utf-8", newline=""
-                )
-                report = run_pipeline(
-                    source,
-                    config,
-                    video_sink,
-                    SidecarWriter(sidecar_file),
-                    queue_capacity=queue_capacity,
-                )
-                if closer is not None:
-                    closer.close()
-                    closer = None
-                video_sink.close()
-                video_sink = None
-                sidecar_file.close()
-                sidecar_file = None
-            except BaseException:
-                _quiet_abort(video_sink)
-                _quiet_abort(sidecar_file)
-                _quiet_abort(closer)
-                raise
+            report, _ = _compress_once(
+                ns, motion, os.path.join(tmp, f"replicate{index}")
+            )
             reports.append(report)
             sys.stdout.write(
                 f"replicate {index + 1}: {report.wall_time:.2f} s "

@@ -227,27 +227,22 @@ def _read_exact(stream: BinaryIO, size: int) -> bytes:
     return b"".join(chunks)
 
 
-class Y4MReader:
-    """Sequential frame reader over a binary Y4M stream.
+class _FrameReader:
+    """Sequential frame source over a binary stream.  Subclasses frame the
+    stream in ``_payload``, which returns the next payload as read or None
+    at end of stream; ``read`` checks its size and numbers the frames."""
 
-    The header is parsed eagerly at construction; frames are then yielded
-    in order with 0-based ``index`` assigned by read position.
-    """
-
-    def __init__(self, stream: BinaryIO):
+    def __init__(self, stream: BinaryIO, header: StreamHeader):
         self._stream = stream
-        self.header = parse_y4m_header(stream)
+        self.header = header
         self._next_index = 0
 
     def read(self) -> Frame | None:
         """Next frame, or None at end of stream."""
-        line = self._stream.readline(_MAX_LINE)
-        if line == b"":
+        data = self._payload()
+        if data is None:
             return None
-        if not line.endswith(b"\n") or not _is_frame_marker(line):
-            raise MalformedFrameMarker(f"expected FRAME marker, got {line[:40]!r}")
         size = self.header.frame_size()
-        data = _read_exact(self._stream, size)
         if len(data) != size:
             raise TruncatedFrame(f"frame payload is {len(data)} of {size} bytes")
         frame = Frame(
@@ -267,16 +262,38 @@ class Y4MReader:
     def close(self) -> None:
         self._stream.close()
 
-    def __enter__(self) -> "Y4MReader":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
 
-def _is_frame_marker(line: bytes) -> bool:
+class Y4MReader(_FrameReader):
+    """Sequential frame reader over a binary Y4M stream.
+
+    The header is parsed eagerly at construction; frames are then yielded
+    in order with 0-based ``index`` assigned by read position.
+    """
+
+    def __init__(self, stream: BinaryIO):
+        super().__init__(stream, parse_y4m_header(stream))
+
+    def _payload(self) -> bytes | None:
+        if not _read_frame_marker(self._stream):
+            return None
+        return _read_exact(self._stream, self.header.frame_size())
+
+
+def _read_frame_marker(stream: BinaryIO) -> bool:
+    """Consume one FRAME marker line; False at end of stream."""
+    line = stream.readline(_MAX_LINE)
+    if line == b"":
+        return False
     # Frame markers may carry their own parameters: "FRAME Ixyz\n".
-    return line.startswith(b"FRAME") and line[5:6] in (b"\n", b" ")
+    if not line.endswith(b"\n") or line[:6] not in (b"FRAME\n", b"FRAME "):
+        raise MalformedFrameMarker(f"expected FRAME marker, got {line[:40]!r}")
+    return True
 
 
 class Y4MWriter:
@@ -330,40 +347,14 @@ def _check_frame_shape(header: StreamHeader, frame: Frame) -> None:
         )
 
 
-class RawReader:
+class RawReader(_FrameReader):
     """Reader for headerless files of concatenated frame payloads.
 
     The caller supplies the header; payload size and framing follow from it.
     """
 
-    def __init__(self, stream: BinaryIO, header: StreamHeader):
-        self._stream = stream
-        self.header = header
-        self._next_index = 0
-
-    def read(self) -> Frame | None:
-        size = self.header.frame_size()
-        data = _read_exact(self._stream, size)
-        if not data:
-            return None
-        if len(data) != size:
-            raise TruncatedFrame(f"frame payload is {len(data)} of {size} bytes")
-        frame = Frame(
-            self._next_index,
-            self.header.width,
-            self.header.height,
-            self.header.pixel_format,
-            data,
-        )
-        self._next_index += 1
-        return frame
-
-    def __iter__(self) -> Iterator[Frame]:
-        while (frame := self.read()) is not None:
-            yield frame
-
-    def close(self) -> None:
-        self._stream.close()
+    def _payload(self) -> bytes | None:
+        return _read_exact(self._stream, self.header.frame_size()) or None
 
 
 class RawWriter:
@@ -392,17 +383,11 @@ def count_y4m_frames(path) -> int:
         header = parse_y4m_header(stream)
         size = header.frame_size()
         count = 0
-        while True:
-            line = stream.readline(_MAX_LINE)
-            if line == b"":
-                return count
-            if not line.endswith(b"\n") or not _is_frame_marker(line):
-                raise MalformedFrameMarker(
-                    f"expected FRAME marker, got {line[:40]!r}"
-                )
+        while _read_frame_marker(stream):
             if stream.seek(size, 1) > total:
                 raise TruncatedFrame("last frame payload is short")
             count += 1
+        return count
 
 
 class _StderrDrain(threading.Thread):
@@ -415,25 +400,89 @@ class _StderrDrain(threading.Thread):
         self.start()
 
     def run(self) -> None:
-        while True:
-            chunk = self._pipe.read(4096)
-            if not chunk:
-                return
-            self._tail = (self._tail + chunk)[-_STDERR_TAIL:]
+        with self._pipe:
+            while chunk := self._pipe.read(4096):
+                self._tail = (self._tail + chunk)[-_STDERR_TAIL:]
 
     def text(self) -> str:
-        self.join(timeout=5.0)
         return self._tail.decode("utf-8", "replace").strip()
 
 
-def _render_template(template: str, placeholder: str, value: str) -> list[str]:
-    """Split a command template and substitute the file placeholder."""
+_PLACEHOLDERS = {"decode": "{input}", "encode": "{output}"}
+
+
+def check_template(role: str, template: str) -> str:
+    """The placeholder a ``"decode"`` or ``"encode"`` command template must
+    name its file with; ValueError when the template lacks it."""
+    placeholder = _PLACEHOLDERS[role]
     if placeholder not in template:
-        raise ValueError(f"codec command template must contain {placeholder}")
-    return [token.replace(placeholder, value) for token in shlex.split(template)]
+        raise ValueError(f"{role} command template must contain {placeholder}")
+    return placeholder
 
 
-class CodecDecoder:
+class _CodecChild:
+    """An external codec command, run with one standard stream piped.
+
+    The child's stderr is drained so it can never block.  close() waits
+    for the child and raises NonZeroExit, carrying the stderr tail, on a
+    nonzero status; abort() kills it without caring about its status.
+    """
+
+    _role = ""
+
+    def __init__(self, template: str, path, *, writes: bool):
+        placeholder = check_template(self._role, template)
+        argv = [
+            token.replace(placeholder, str(path)) for token in shlex.split(template)
+        ]
+        try:
+            self._proc = subprocess.Popen(
+                argv,
+                stdin=subprocess.PIPE if writes else subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL if writes else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+        except OSError as exc:
+            raise SpawnFailure(f"cannot run {argv[0]!r}: {exc}") from exc
+        self._pipe = self._proc.stdin if writes else self._proc.stdout
+        self._stderr = _StderrDrain(self._proc.stderr)
+
+    def close(self) -> None:
+        """Release the child and surface its exit status."""
+        self._check_exit()
+
+    def abort(self) -> None:
+        """Kill the child without caring about its status."""
+        self._proc.kill()
+        self._reap()
+
+    def _check_exit(self, cause: BaseException | None = None) -> None:
+        rc = self._reap()
+        if rc != 0:
+            detail = self._stderr.text()
+            message = f"{self._role} command exited with status {rc}"
+            raise NonZeroExit(f"{message}: {detail}" if detail else message) from cause
+
+    def _reap(self) -> int:
+        try:
+            self._pipe.close()
+        except OSError:
+            pass
+        rc = self._proc.wait()
+        self._stderr.join(timeout=5.0)
+        return rc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
+
+
+class CodecDecoder(_CodecChild):
     """Frame source backed by an external decode command.
 
     The command template names the compressed file via ``{input}`` and must
@@ -441,26 +490,16 @@ class CodecDecoder:
     nonzero status raises NonZeroExit carrying the stderr tail.
     """
 
+    _role = "decode"
+
     def __init__(self, template: str, input_path):
-        argv = _render_template(template, "{input}", str(input_path))
+        super().__init__(template, input_path, writes=False)
         try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-            )
-        except OSError as exc:
-            raise SpawnFailure(f"cannot run {argv[0]!r}: {exc}") from exc
-        self._stderr = _StderrDrain(self._proc.stderr)
-        try:
-            self._reader = Y4MReader(self._proc.stdout)
+            self._reader = Y4MReader(self._pipe)
         except MotionSieveError as exc:
             # The stream never started; the child's own failure is the
             # better diagnostic when it exited nonzero.
-            rc = self._reap()
-            if rc != 0:
-                raise NonZeroExit(self._describe(rc)) from exc
+            self._check_exit(exc)
             raise
         self.header = self._reader.header
 
@@ -470,42 +509,8 @@ class CodecDecoder:
     def __iter__(self) -> Iterator[Frame]:
         return iter(self._reader)
 
-    def close(self) -> None:
-        """Release the child and surface its exit status."""
-        rc = self._reap()
-        if rc != 0:
-            raise NonZeroExit(self._describe(rc))
 
-    def abort(self) -> None:
-        """Kill the child without caring about its status."""
-        self._proc.kill()
-        self._reap()
-
-    def _reap(self) -> int:
-        try:
-            self._proc.stdout.close()
-        except OSError:
-            pass
-        rc = self._proc.wait()
-        self._stderr.join(timeout=5.0)
-        return rc
-
-    def _describe(self, rc: int) -> str:
-        detail = self._stderr.text()
-        message = f"decode command exited with status {rc}"
-        return f"{message}: {detail}" if detail else message
-
-    def __enter__(self) -> "CodecDecoder":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-
-class CodecEncoder:
+class CodecEncoder(_CodecChild):
     """Frame sink backed by an external encode command.
 
     The command template names the compressed output file via ``{output}``
@@ -514,63 +519,19 @@ class CodecEncoder:
     the child and checks its status.
     """
 
+    _role = "encode"
+
     def __init__(self, template: str, output_path, header: StreamHeader):
-        argv = _render_template(template, "{output}", str(output_path))
-        try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-            )
-        except OSError as exc:
-            raise SpawnFailure(f"cannot run {argv[0]!r}: {exc}") from exc
-        self._stderr = _StderrDrain(self._proc.stderr)
+        super().__init__(template, output_path, writes=True)
         self.header = header
-        self._send(serialize_y4m_header(header))
+        self._writer = self._send(Y4MWriter, self._pipe, header)
 
     def write_frame(self, frame: Frame) -> None:
-        _check_frame_shape(self.header, frame)
-        self._send(b"FRAME\n")
-        self._send(frame.data)
+        self._send(self._writer.write_frame, frame)
 
-    def _send(self, data: bytes) -> None:
+    def _send(self, call, *args):
         try:
-            self._proc.stdin.write(data)
+            return call(*args)
         except BrokenPipeError as exc:
-            rc = self._reap()
-            if rc != 0:
-                raise NonZeroExit(self._describe(rc)) from exc
+            self._check_exit(exc)
             raise BrokenPipe("encode command closed its input early") from exc
-
-    def close(self) -> None:
-        rc = self._reap()
-        if rc != 0:
-            raise NonZeroExit(self._describe(rc))
-
-    def abort(self) -> None:
-        self._proc.kill()
-        self._reap()
-
-    def _reap(self) -> int:
-        try:
-            self._proc.stdin.close()
-        except OSError:
-            pass
-        rc = self._proc.wait()
-        self._stderr.join(timeout=5.0)
-        return rc
-
-    def _describe(self, rc: int) -> str:
-        detail = self._stderr.text()
-        message = f"encode command exited with status {rc}"
-        return f"{message}: {detail}" if detail else message
-
-    def __enter__(self) -> "CodecEncoder":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()

@@ -28,6 +28,7 @@ from .stats import CompressionStats
 
 _SENTINEL = object()
 _POLL_SECONDS = 0.05
+_SHUTDOWN_SECONDS = 1.0
 
 
 class _Cancelled(Exception):
@@ -158,10 +159,19 @@ def run_pipeline(
         threading.Thread(target=write_stage, name="motionsieve-write"),
     ]
     started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        # Ctrl-C lands here, in the calling thread: cancel the stages so the
+        # process can exit, but never wait long on a source stuck in next().
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join(_SHUTDOWN_SECONDS)
+        raise
     wall_time = max(time.monotonic() - started, 1e-9)
 
     if failures:

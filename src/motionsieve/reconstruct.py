@@ -16,6 +16,7 @@ is never darker than the motion frame.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -23,15 +24,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingReference, SidecarMismatch
 from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter
-from .motion_core import to_grayscale
+from .motion_core import abs_diff, to_grayscale
 from .sidecar import SidecarRecord
 
-
-def env_frame(ref: np.ndarray, mot: np.ndarray) -> np.ndarray:
-    """Environment estimate |ref - mot| for equal-shape uint8 gray frames."""
-    if ref.shape != mot.shape:
-        raise DimensionMismatch(f"gray shapes differ: {ref.shape} vs {mot.shape}")
-    return np.abs(ref.astype(np.int16) - mot.astype(np.int16)).astype(np.uint8)
+# The environment estimate |ref - mot| of equal-shape uint8 gray frames is
+# the absolute difference that motion analysis thresholds.
+env_frame = abs_diff
 
 
 def rec_frame(env: np.ndarray, mot: np.ndarray) -> np.ndarray:
@@ -103,11 +101,14 @@ def reconstruct_files(
     Produces ``<prefix>.dl.y4m`` (color pass-through, original header),
     ``<prefix>.fgbg.y4m`` (rebuilt grayscale), and ``<prefix>.align.csv``
     mapping output position to source frame index.  Returns the three
-    paths.
+    paths.  Each is written as ``*.partial`` and renamed into place only
+    after the whole stream succeeded, so a failed run leaves only
+    ``*.partial`` files.
     """
-    dl_path = out_prefix + ".dl.y4m"
-    fgbg_path = out_prefix + ".fgbg.y4m"
-    align_path = out_prefix + ".align.csv"
+    paths = (
+        out_prefix + ".dl.y4m", out_prefix + ".fgbg.y4m", out_prefix + ".align.csv"
+    )
+    dl_partial, fgbg_partial, align_partial = (path + ".partial" for path in paths)
     mono_header = StreamHeader(
         header.width,
         header.height,
@@ -115,8 +116,8 @@ def reconstruct_files(
         header.fps_den,
         PixelFormat.GRAY8,
     )
-    with open(dl_path, "wb") as dl_file, open(fgbg_path, "wb") as fgbg_file, open(
-        align_path, "w", encoding="utf-8", newline=""
+    with open(dl_partial, "wb") as dl_file, open(fgbg_partial, "wb") as fgbg_file, open(
+        align_partial, "w", encoding="utf-8", newline=""
     ) as align_file:
         dl_writer = Y4MWriter(dl_file, header)
         fgbg_writer = Y4MWriter(fgbg_file, mono_header)
@@ -135,4 +136,6 @@ def reconstruct_files(
             align_file.write(f"{position},{rebuilt.input_index}\n")
         dl_writer.flush()
         fgbg_writer.flush()
-    return dl_path, fgbg_path, align_path
+    for path in paths:
+        os.replace(path + ".partial", path)
+    return paths

@@ -515,3 +515,126 @@ def test_console_script_stdin_roundtrip(tmp_path):
     assert b"frames in:       12" in proc.stdout
     assert os.path.exists(prefix + ".y4m")
     assert os.path.exists(prefix + ".csv")
+
+
+def _replicate_labels(out):
+    return [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("replicate ")]
+
+
+def test_bench_through_codec_matches_plain(tmp_path):
+    """bench over the gz decode/encode commands runs the same replicates
+    over the same frames as over plain Y4M."""
+    plain = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(plain, count=16)
+    packed = os.path.join(tmp_path, "sq.y4m.gz")
+    with open(plain, "rb") as fh:
+        with gzip.open(packed, "wb") as gz:
+            gz.write(fh.read())
+    runs = {}
+    for name, extra in (
+        ("plain", ["--input", plain]),
+        ("codec", ["--input", packed,
+                   "--decode-cmd", GZ_DECODE, "--encode-cmd", GZ_ENCODE]),
+    ):
+        dest = os.path.join(tmp_path, f"{name}.json")
+        code, out, err = run_cli(
+            ["bench", "--replicates", "2", "--min-motion-pixels", "1",
+             "--stats-json", dest, *extra]
+        )
+        assert code == 0, err
+        with open(dest, encoding="utf-8") as fh:
+            runs[name] = (_replicate_labels(out), json.load(fh)["frames"])
+    assert runs["codec"] == runs["plain"]
+    assert runs["plain"] == (["replicate 1", "replicate 2"], 16)
+
+
+def test_compress_encode_template_without_placeholder(tmp_path):
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    prefix = os.path.join(tmp_path, "o")
+    code, out, err = run_cli(
+        ["compress", "--input", src, "--output", prefix, "--encode-cmd", "cat"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidArgument:")
+    assert "{output}" in err
+    assert sorted(os.listdir(tmp_path)) == ["sq.y4m"]
+
+
+def test_reconstruct_template_without_placeholder(tmp_path):
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    prefix = os.path.join(tmp_path, "comp")
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", prefix,
+         "--min-motion-pixels", "1"]
+    )
+    assert code == 0, err
+    rebuilt = os.path.join(tmp_path, "r")
+    code, out, err = run_cli(
+        ["reconstruct", "--input", prefix + ".y4m",
+         "--sidecar", prefix + ".csv", "--output", rebuilt,
+         "--decode-cmd", "cat x"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidArgument:")
+    assert "{input}" in err
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("r.")]
+
+
+def test_reconstruct_failure_leaves_partials(tmp_path):
+    """A failed reconstruct leaves only *.partial files, like compress."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    prefix = os.path.join(tmp_path, "comp")
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", prefix,
+         "--min-motion-pixels", "1"]
+    )
+    assert code == 0, err
+    short = os.path.join(tmp_path, "short.csv")
+    with open(prefix + ".csv", encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(short, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:-1])
+    rebuilt = os.path.join(tmp_path, "r")
+    code, _, err = run_cli(
+        ["reconstruct", "--input", prefix + ".y4m", "--sidecar", short,
+         "--output", rebuilt]
+    )
+    assert code == 1
+    assert err.startswith("error: SidecarMismatch:")
+    for suffix in (".dl.y4m", ".fgbg.y4m", ".align.csv"):
+        assert os.path.exists(rebuilt + suffix + ".partial")
+        assert not os.path.exists(rebuilt + suffix)
+
+
+def test_rejected_header_closes_input(tmp_path):
+    """compress, bench and reconstruct close the input file when its Y4M
+    header is rejected."""
+    import gc
+    import warnings
+
+    src = os.path.join(tmp_path, "junk.y4m")
+    with open(src, "wb") as fh:
+        fh.write(b"JUNK stream\n")
+    sidecar = os.path.join(tmp_path, "s.csv")
+    with open(sidecar, "w", encoding="utf-8") as fh:
+        fh.write("input_frame,output_frame,full_frame\n0,0,1\n")
+    out = os.path.join(tmp_path, "o")
+    for args in (
+        ["compress", "--input", src, "--output", out],
+        ["bench", "--input", src, "--replicates", "1"],
+        ["reconstruct", "--input", src, "--sidecar", sidecar, "--output", out],
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(args)
+            gc.collect()
+        assert code == 1
+        assert err.startswith("error: MalformedHeader:")
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, (args[0], [str(w.message) for w in leaks])

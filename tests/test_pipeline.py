@@ -202,3 +202,42 @@ def test_report_speed_consistent_with_counts():
     )
     assert report.stats.frames_in == report.frames_in
     assert report.stats.frames_out == report.frames_out
+
+
+def test_ctrl_c_while_joining_stops_every_stage():
+    """A real SIGINT that lands while run_pipeline waits for its stages
+    propagates as KeyboardInterrupt and leaves no stage thread running."""
+    import os
+    import signal
+    import threading
+    import time
+
+    frame = gray_frame(np.full((16, 16), 7, np.uint8))
+    quit_source = threading.Event()
+
+    def endless():
+        # The event only ends the stream once the test is over, so a
+        # pipeline that ignored the interrupt cannot outlive the test.
+        while not quit_source.is_set():
+            yield frame
+
+    def stage_threads():
+        return [t.name for t in threading.enumerate()
+                if t.name.startswith("motionsieve-") and t.is_alive()]
+
+    from motionsieve import PixelFormat, StreamHeader
+
+    writer = Y4MWriter(io.BytesIO(), StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8))
+    timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT))
+    try:
+        timer.start()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(endless(), MotionConfig(), writer,
+                         SidecarWriter(io.StringIO()), queue_capacity=2)
+        deadline = time.monotonic() + 1.0
+        while stage_threads() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert stage_threads() == []
+    finally:
+        timer.cancel()
+        quit_source.set()
