@@ -29,7 +29,7 @@ from .frame_io import (
     count_y4m_frames,
 )
 from .motion_core import MotionConfig
-from .pipeline import PipelineReport, run_pipeline
+from .pipeline import DEFAULT_QUEUE_CAPACITY, PipelineReport, run_pipeline
 from .reconstruct import reconstruct_files
 from .sidecar import SidecarWriter, read_sidecar
 from .stats import (
@@ -49,8 +49,6 @@ _CONFIG_KEYS = {
     "decode_cmd",
     "encode_cmd",
 }
-
-_DEFAULT_QUEUE_CAPACITY = 64
 
 
 class _UsageError(Exception):
@@ -123,7 +121,7 @@ def _resolve_motion(ns) -> tuple[MotionConfig, int, str | None, str | None]:
     queue_capacity = (
         _to_int("queue_capacity", capacity_value)
         if capacity_value is not None
-        else _DEFAULT_QUEUE_CAPACITY
+        else DEFAULT_QUEUE_CAPACITY
     )
     if queue_capacity < 1:
         raise _UsageError("queue_capacity must be >= 1")
@@ -204,6 +202,13 @@ def _open_source(ns, decode_cmd, streams: ExitStack):
     return _wrap_stream(streams.enter_context(_owned(open(ns.input, "rb"))), ns)
 
 
+def _then_close(frames, streams: ExitStack):
+    """Yield ``frames``, then close ``streams`` before reporting the end,
+    so a decoder's nonzero exit fails the consumer before it commits."""
+    yield from frames
+    streams.close()
+
+
 def _emit_json(text: str, dest: str) -> None:
     if dest == "-":
         sys.stdout.write(text)
@@ -279,7 +284,9 @@ def cmd_reconstruct(ns) -> int:
         records = read_sidecar(handle)
     with ExitStack() as streams:
         source = _open_source(ns, decode_cmd, streams)
-        paths = reconstruct_files(source, source.header, records, ns.output)
+        paths = reconstruct_files(
+            _then_close(source, streams), source.header, records, ns.output
+        )
     for path in paths:
         sys.stdout.write(f"{path}\n")
     return 0
@@ -442,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--queue-capacity", type=int,
-        help="pipeline stage queue depth (default 64)",
+        help=f"pipeline stage queue depth (default {DEFAULT_QUEUE_CAPACITY})",
     )
     group.add_argument(
         "--config",

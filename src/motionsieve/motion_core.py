@@ -124,9 +124,19 @@ def _tile_lengths(size: int, factor: int) -> np.ndarray:
 
 def abs_diff(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
     """Elementwise |curr - prev| of two equal-shape uint8 gray frames."""
-    if prev.shape != curr.shape:
-        raise DimensionMismatch(f"gray shapes differ: {prev.shape} vs {curr.shape}")
-    return np.abs(curr.astype(np.int16) - prev.astype(np.int16)).astype(np.uint8)
+    check_gray_pair(prev, curr)
+    # max - min never wraps, so the difference needs no wider dtype.
+    diff = np.maximum(prev, curr)
+    diff -= np.minimum(prev, curr)
+    return diff
+
+
+def check_gray_pair(a: np.ndarray, b: np.ndarray) -> None:
+    """Reject gray operands the uint8 per-pixel kernels cannot take."""
+    if a.dtype != np.uint8 or b.dtype != np.uint8:
+        raise ValueError(f"gray frames must be uint8, got {a.dtype} and {b.dtype}")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"gray shapes differ: {a.shape} vs {b.shape}")
 
 
 def threshold_mask(diff: np.ndarray, threshold: int) -> np.ndarray:

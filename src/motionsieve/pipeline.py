@@ -26,6 +26,12 @@ from .motion_core import AnalysisState, MotionConfig, OutcomeKind, analyse
 from .sidecar import SidecarRecord
 from .stats import CompressionStats
 
+# Frames each inter-stage queue holds.  A 1080p YUV420 frame is ~3.1 MB,
+# so the two queues can hold ~400 MB.  A depth of 8 halves peak RSS on
+# the 1080p compress benchmarks but costs ~4% fps on static-1080p
+# (BENCH_5.json), so the default stays 64.
+DEFAULT_QUEUE_CAPACITY = 64
+
 _SENTINEL = object()
 _POLL_SECONDS = 0.05
 _SHUTDOWN_SECONDS = 1.0
@@ -68,7 +74,7 @@ def run_pipeline(
     video_sink,
     sidecar_sink,
     *,
-    queue_capacity: int = 64,
+    queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
 ) -> PipelineReport:
     """Compress ``source`` into ``video_sink`` + ``sidecar_sink``.
 

@@ -6,7 +6,8 @@ detectors that want every frame against a stable background.  The first
 stream is a pass-through.  The second is rebuilt in grayscale from the
 most recent full frame: the environment outside the motion region is
 recovered as the absolute difference between reference and motion frame,
-then the motion content is added back with saturation at 255.
+then the motion content is added back with saturation at 255.  Both steps
+are computed in uint8, with no widened copy of the frame.
 
 Where the motion frame is zero (everything the mask removed), the rebuilt
 pixel equals the reference exactly; inside the kept region it equals the
@@ -22,9 +23,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingReference, SidecarMismatch
+from .errors import MissingReference, SidecarMismatch
 from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter
-from .motion_core import abs_diff, to_grayscale
+from .motion_core import abs_diff, check_gray_pair, to_grayscale
 from .sidecar import SidecarRecord
 
 # The environment estimate |ref - mot| of equal-shape uint8 gray frames is
@@ -34,10 +35,13 @@ env_frame = abs_diff
 
 def rec_frame(env: np.ndarray, mot: np.ndarray) -> np.ndarray:
     """Saturating sum env + mot, capped at 255."""
-    if env.shape != mot.shape:
-        raise DimensionMismatch(f"gray shapes differ: {env.shape} vs {mot.shape}")
-    total = env.astype(np.uint16) + mot.astype(np.uint16)
-    return np.minimum(total, 255).astype(np.uint8)
+    check_gray_pair(env, mot)
+    # env + mot passes 255 exactly when env > 255 - mot, so
+    # mot + min(env, 255 - mot) is the capped sum and never wraps.
+    rebuilt = 255 - mot
+    np.minimum(env, rebuilt, out=rebuilt)
+    rebuilt += mot
+    return rebuilt
 
 
 @dataclass

@@ -612,6 +612,31 @@ def test_reconstruct_failure_leaves_partials(tmp_path):
         assert not os.path.exists(rebuilt + suffix)
 
 
+def test_reconstruct_decoder_failure_after_stream_leaves_partials(tmp_path):
+    """A decoder that emits the whole stream and then exits nonzero fails
+    reconstruct before any output is renamed into place."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    prefix = os.path.join(tmp_path, "comp")
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", prefix,
+         "--min-motion-pixels", "1"]
+    )
+    assert code == 0, err
+    rebuilt = os.path.join(tmp_path, "r")
+    code, out, err = run_cli(
+        ["reconstruct", "--input", prefix + ".y4m", "--sidecar", prefix + ".csv",
+         "--output", rebuilt,
+         "--decode-cmd", "sh -c 'cat {input}; exit 3'"]
+    )
+    assert code == 1
+    assert err.startswith("error: NonZeroExit:")
+    assert out == ""
+    for suffix in (".dl.y4m", ".fgbg.y4m", ".align.csv"):
+        assert os.path.exists(rebuilt + suffix + ".partial")
+        assert not os.path.exists(rebuilt + suffix)
+
+
 def test_rejected_header_closes_input(tmp_path):
     """compress, bench and reconstruct close the input file when its Y4M
     header is rejected."""

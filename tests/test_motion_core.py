@@ -177,6 +177,31 @@ def test_abs_diff_shape_mismatch():
         abs_diff(np.zeros((2, 2), np.uint8), np.zeros((2, 3), np.uint8))
 
 
+def test_abs_diff_matches_widened_formula_on_every_pair():
+    """All 256 x 256 uint8 pairs, contiguous and as strided views; the
+    operands stay untouched."""
+    values = np.arange(256, dtype=np.uint8)
+    a, b = np.meshgrid(values, values)
+    for prev, curr in ((a, b), (a.T, b.T), (a[::-1, ::-1], b[::-1, ::-1])):
+        got = abs_diff(prev, curr)
+        assert got.dtype == np.uint8
+        assert np.array_equal(
+            got, np.abs(curr.astype(np.int16) - prev.astype(np.int16))
+        )
+    assert np.array_equal(a, np.meshgrid(values, values)[0])
+    assert np.array_equal(b, np.meshgrid(values, values)[1])
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64, np.float32])
+def test_abs_diff_rejects_wider_dtypes(dtype):
+    """max - min is only exact in uint8; wider input must not pass."""
+    wide = np.array([[10, 300]], dtype)
+    narrow = np.array([[40, 50]], np.uint8)
+    for prev, curr in ((wide, wide), (wide, narrow), (narrow, wide)):
+        with pytest.raises(ValueError):
+            abs_diff(prev, curr)
+
+
 def test_threshold_is_strict():
     diff = np.array([[24, 25, 26]], dtype=np.uint8)
     assert threshold_mask(diff, 25).tolist() == [[False, False, True]]

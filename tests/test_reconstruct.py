@@ -49,6 +49,32 @@ def test_rec_frame_saturates():
     assert rec_frame(env, mot).dtype == np.uint8
 
 
+def test_rec_frame_matches_widened_formula_on_every_pair():
+    """All 256 x 256 uint8 pairs, contiguous and as strided views, against
+    the uint16 sum capped at 255; the operands stay untouched."""
+    values = np.arange(256, dtype=np.uint8)
+    env, mot = np.meshgrid(values, values)
+    for e, m in ((env, mot), (env.T, mot.T), (env[::-1, ::-1], mot[::-1, ::-1])):
+        got = rec_frame(e, m)
+        assert got.dtype == np.uint8
+        assert np.array_equal(
+            got, np.minimum(e.astype(np.uint16) + m.astype(np.uint16), 255)
+        )
+    assert np.array_equal(env, np.meshgrid(values, values)[0])
+    assert np.array_equal(mot, np.meshgrid(values, values)[1])
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.float64])
+def test_rec_frame_rejects_wider_dtypes(dtype):
+    """The uint8 identity gives wrong values on wider dtypes, so those are
+    refused rather than computed."""
+    wide = np.array([[200, 300]], dtype)
+    narrow = np.array([[100, 100]], np.uint8)
+    for env, mot in ((wide, wide), (wide, narrow), (narrow, wide)):
+        with pytest.raises(ValueError):
+            rec_frame(env, mot)
+
+
 @given(luma_arrays)
 def test_zero_motion_recovers_reference(ref):
     """A blanked region carries no signal, so envelope + nothing must
