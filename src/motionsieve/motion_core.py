@@ -183,52 +183,99 @@ def upscale_mask(
 
     Each grid cell paints its factor x factor block; the result is cropped
     to (height, width).  The mask must match the grid shape implied by the
-    target dimensions.
+    target dimensions.  Masking a frame does not need this: ``apply_mask``
+    takes the grid itself and never builds the frame-sized mask.
     """
-    if mask.shape != mask_grid_shape(width, height, factor):
-        raise DimensionMismatch(
-            f"mask is {mask.shape}, expected "
-            f"{mask_grid_shape(width, height, factor)} for "
-            f"{width}x{height} at factor {factor}"
-        )
+    _check_grid(mask, factor, width, height)
     if factor == 1:
         return mask
     full = np.repeat(np.repeat(mask, factor, axis=0), factor, axis=1)
     return full[:height, :width]
 
 
-def apply_mask(frame: Frame, mask: np.ndarray) -> Frame:
-    """Zero every byte of ``frame`` outside the full-resolution mask.
+def apply_mask(frame: Frame, mask: np.ndarray, factor: int = 1) -> Frame:
+    """Zero every byte of ``frame`` outside a grid mask at ``factor``.
 
-    For YUV420 the chroma planes follow a derived half-resolution mask: a
-    chroma sample survives if any of its four luma sites survives, so kept
-    luma never loses its color.
+    Pixel (y, x) is kept when grid cell (y // factor, x // factor) is set,
+    so the mask is ceil(h/s) x ceil(w/s); factor 1 means a full-resolution
+    mask.  For YUV420 a chroma sample survives if any of its four luma
+    sites survives, so kept luma never loses its color.  At an even factor
+    each 2x2 chroma site lies inside one grid cell, so U and V take the
+    grid at factor s/2; at an odd factor the four sites are ORed on the
+    grid.
     """
     h, w = frame.height, frame.width
-    if mask.shape != (h, w):
-        raise DimensionMismatch(f"mask is {mask.shape}, frame is {(h, w)}")
+    _check_grid(mask, factor, w, h)
     raw = np.frombuffer(frame.data, dtype=np.uint8)
     kept = np.empty_like(raw)
-    # Every full-resolution plane (gray, Y, or R, G and B) takes the mask as
-    # is; 4:2:0 U and V then take the half-resolution chroma mask.
+    # Every full-resolution plane (gray, Y, or R, G and B) takes the grid at
+    # the factor; 4:2:0 U and V then take the chroma mask.
     planes = 3 if frame.pixel_format is PixelFormat.RGB24 else 1
     full_end = planes * h * w
-    np.multiply(
+    _mask_planes(
         raw[:full_end].reshape(planes, h, w),
         mask,
-        out=kept[:full_end].reshape(planes, h, w),
+        factor,
+        kept[:full_end].reshape(planes, h, w),
     )
     if frame.pixel_format is PixelFormat.YUV420:
-        chroma_mask = (
-            mask[0::2, 0::2] | mask[0::2, 1::2] | mask[1::2, 0::2] | mask[1::2, 1::2]
-        )
+        if factor % 2 == 0:
+            chroma_mask, chroma_factor = mask, factor // 2
+        else:
+            sites = 2 * np.arange(h // 2)
+            tall = mask[sites // factor] | mask[(sites + 1) // factor]
+            sites = 2 * np.arange(w // 2)
+            chroma_mask = tall[:, sites // factor] | tall[:, (sites + 1) // factor]
+            chroma_factor = 1
         chroma_shape = (2, h // 2, w // 2)
-        np.multiply(
+        _mask_planes(
             raw[full_end:].reshape(chroma_shape),
             chroma_mask,
-            out=kept[full_end:].reshape(chroma_shape),
+            chroma_factor,
+            kept[full_end:].reshape(chroma_shape),
         )
     return Frame(frame.index, w, h, frame.pixel_format, kept.tobytes())
+
+
+def _check_grid(mask: np.ndarray, factor: int, width: int, height: int) -> None:
+    expected = mask_grid_shape(width, height, factor)
+    if mask.shape != expected:
+        raise DimensionMismatch(
+            f"mask is {mask.shape}, expected {expected} for "
+            f"{width}x{height} at factor {factor}"
+        )
+
+
+def _mask_planes(
+    src: np.ndarray, grid: np.ndarray, factor: int, out: np.ndarray
+) -> None:
+    """out = src where the grid at ``factor`` is set, else 0, for a stack
+    of (planes, rows, cols) uint8 planes, without a frame-sized mask.
+
+    Rows: each grid row broadcasts over its ``factor`` pixel rows, with a
+    ragged last block taking the last grid row.  Columns: when factor and
+    cols are both even, two adjacent pixels always share a cell, so the
+    planes are masked as uint16 pairs against the grid repeated factor/2
+    times across; otherwise as bytes against it repeated factor times.
+    """
+    planes, rows, cols = src.shape
+    unit = 2 if factor % 2 == 0 and cols % 2 == 0 else 1
+    if unit == 2:
+        src, out = src.view(np.uint16), out.view(np.uint16)
+    across = factor // unit
+    if across > 1:
+        grid = np.repeat(grid, across, axis=1)
+    grid = grid[:, : cols // unit]
+    blocks = rows // factor
+    body = blocks * factor
+    shape = (planes, blocks, factor, cols // unit)
+    np.multiply(
+        src[:, :body].reshape(shape),
+        grid[:blocks, None, :],
+        out=out[:, :body].reshape(shape),
+    )
+    if body < rows:
+        np.multiply(src[:, body:], grid[-1], out=out[:, body:])
 
 
 class OutcomeKind(Enum):
@@ -312,7 +359,7 @@ def analyse(
         threshold_mask(abs_diff(state.prev_gray, gray), config.threshold),
         config.buffer_radius,
     )
-    if int(mask.sum()) < config.min_motion_pixels:
+    if np.count_nonzero(mask) < config.min_motion_pixels:
         return _DROP, replace(state, prev_gray=gray, in_motion_sequence=False)
 
     since_keyframe = state.frames_since_keyframe + 1
@@ -321,12 +368,9 @@ def analyse(
         outcome = AnalysisOutcome(OutcomeKind.FULL_FRAME, frame, record)
         since_keyframe = 0
     else:
-        full_mask = upscale_mask(
-            mask, config.downscale, frame.width, frame.height
-        )
         record = SidecarRecord(frame.index, state.out_index, False)
         outcome = AnalysisOutcome(
-            OutcomeKind.MASKED, apply_mask(frame, full_mask), record
+            OutcomeKind.MASKED, apply_mask(frame, mask, config.downscale), record
         )
     new_state = replace(
         state,

@@ -44,14 +44,6 @@ def rec_frame(env: np.ndarray, mot: np.ndarray) -> np.ndarray:
     return rebuilt
 
 
-@dataclass
-class ReferenceStore:
-    """Most recent full frame, held as grayscale, with its source index."""
-
-    gray: np.ndarray
-    input_index: int
-
-
 @dataclass(frozen=True, eq=False)
 class RebuiltFrame:
     """One reconstructed position: the stored color frame untouched, and
@@ -73,22 +65,22 @@ def reconstruct_stream(
     while iterating, since both inputs may be streams.
     """
     record_iter = iter(records)
-    reference: ReferenceStore | None = None
+    # The most recent full frame, as grayscale.
+    reference: np.ndarray | None = None
     for frame in frames:
         record = next(record_iter, None)
         if record is None:
             raise SidecarMismatch("video has more frames than sidecar rows")
         gray = to_grayscale(frame)
         if record.full_frame:
-            reference = ReferenceStore(gray, record.input_frame)
-            restored = gray
+            reference = restored = gray
         else:
             if reference is None:
                 raise MissingReference(
                     f"row for input frame {record.input_frame} is masked "
                     "but no full frame precedes it"
                 )
-            restored = rec_frame(env_frame(reference.gray, gray), gray)
+            restored = rec_frame(env_frame(reference, gray), gray)
         yield RebuiltFrame(record.input_frame, record.full_frame, frame, restored)
     if next(record_iter, None) is not None:
         raise SidecarMismatch("sidecar has more rows than video frames")

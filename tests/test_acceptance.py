@@ -37,6 +37,7 @@ from motionsieve import (
     to_grayscale,
     write_sidecar,
 )
+from motionsieve import motion_core
 from motionsieve.cli import main as cli_main
 from motionsieve.sidecar import SidecarWriter
 from oracles import (
@@ -216,6 +217,56 @@ def test_mask_correctness():
            f"{checked_frames} frames, {checked_masked} masked, {elapsed:.1f} s")
     assert checked_masked >= 10
     assert elapsed < 10.0
+
+
+def _compress_matches_oracle(frames, config) -> int:
+    """Assert that reference_compress stores exactly what the oracle
+    simulation stores; returns the number of masked frames."""
+    kept, records = reference_compress(frames, config)
+    expected = [
+        (data, record)
+        for kind, data, record in simulate_compress(frames, config)
+        if kind != "drop"
+    ]
+    got = [
+        (frame.data, (r.input_frame, r.output_frame, int(r.full_frame)))
+        for frame, r in zip(kept, records, strict=True)
+    ]
+    assert got == expected
+    return sum(1 for _, record in expected if not record[2])
+
+
+@pytest.mark.parametrize("factor", (1, 2, 3, 4, 6))
+def test_mask_correctness_at_each_factor(factor):
+    """reference_compress equals the oracle simulation at every grid factor
+    on all three pixel formats, on frame sizes the factor does not divide
+    (4:2:0 sizes stay even)."""
+    config = MotionConfig(threshold=20, downscale=factor, buffer_radius=1,
+                          keyframe_interval=4, min_motion_pixels=1)
+    for pixel_format, width, height in (
+        (PixelFormat.GRAY8, 37, 23),
+        (PixelFormat.RGB24, 29, 19),
+        (PixelFormat.YUV420, 38, 26),
+    ):
+        frames = moving_square_video(
+            width, height, 12, pixel_format, size=7, step=3
+        )
+        assert _compress_matches_oracle(frames, config) > 0, pixel_format
+
+
+def test_masking_builds_no_full_resolution_mask(monkeypatch):
+    """At an even factor the stored frames are masked from the analysis
+    grid: with upscale_mask made to fail, a 4:2:0 clip still compresses to
+    the oracle's bytes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("upscale_mask called while compressing")
+
+    monkeypatch.setattr(motion_core, "upscale_mask", refuse)
+    config = MotionConfig(threshold=20, downscale=2, buffer_radius=1,
+                          keyframe_interval=100, min_motion_pixels=1)
+    frames = moving_square_video(48, 32, 20, pixel_format=PixelFormat.YUV420)
+    assert _compress_matches_oracle(frames, config) >= 10
 
 
 def test_reconstruction_identities():

@@ -27,6 +27,7 @@ from oracles import (
     oracle_dilate,
     oracle_downscale,
     oracle_gray,
+    oracle_upscale,
 )
 from synth import frame_from_luma, gray_frame, random_frame, rgb_frame, yuv_frame
 
@@ -392,6 +393,57 @@ def test_apply_mask_yuv_chroma_kept_from_each_luma_site(seed):
         for dx in (0, 1):
             mask[dy::2, dx::2] |= site == 2 * dy + dx
     assert apply_mask(frame, mask).data == oracle_apply_mask(frame, mask.tolist())
+
+
+def _grid_sizes(pixel_format, factor):
+    """(width, height) pairs that give exact and ragged grids at ``factor``:
+    odd sizes for GRAY8 and RGB24, even sizes for 4:2:0 that the factor
+    does not divide."""
+    if pixel_format is PixelFormat.YUV420:
+        return [(12, 12), (14, 10), (2 * factor + 2, 4 * factor - 2)]
+    return [(12, 12), (13, 7), (10, 7), (1, 5), (2 * factor + 1, 3 * factor - 1)]
+
+
+@pytest.mark.parametrize("factor", (1, 2, 3, 4, 6))
+@pytest.mark.parametrize("pixel_format", list(PixelFormat))
+def test_apply_mask_on_grid_matches_upscaled_oracle(pixel_format, factor):
+    rng = np.random.default_rng([factor, list(PixelFormat).index(pixel_format)])
+    for width, height in _grid_sizes(pixel_format, factor):
+        for density in (0.0, 0.3, 1.0):
+            frame = random_frame(rng, width, height, pixel_format)
+            grid = rng.random(mask_grid_shape(width, height, factor)) < density
+            full = oracle_upscale(grid.tolist(), factor, width, height)
+            got = apply_mask(frame, grid, factor).data
+            assert got == oracle_apply_mask(frame, full), (width, height, density)
+
+
+@given(st.data())
+def test_apply_mask_on_grid_matches_bruteforce(data):
+    pixel_format = data.draw(st.sampled_from(list(PixelFormat)))
+    factor = data.draw(st.integers(1, 8))
+    width = data.draw(st.integers(1, 20))
+    height = data.draw(st.integers(1, 20))
+    if pixel_format is PixelFormat.YUV420:
+        width += width % 2
+        height += height % 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    frame = random_frame(rng, width, height, pixel_format)
+    grid = data.draw(
+        npst.arrays(dtype=bool, shape=mask_grid_shape(width, height, factor))
+    )
+    full = oracle_upscale(grid.tolist(), factor, width, height)
+    assert apply_mask(frame, grid, factor).data == oracle_apply_mask(frame, full)
+
+
+@pytest.mark.parametrize("pixel_format", list(PixelFormat))
+@pytest.mark.parametrize(
+    "factor, shape",
+    [(1, (6, 9)), (1, (10, 6)), (2, (6, 10)), (2, (3, 4)), (3, (3, 3)), (4, (3, 2))],
+)
+def test_apply_mask_rejects_wrong_grid(pixel_format, factor, shape):
+    frame = random_frame(np.random.default_rng(0), 10, 6, pixel_format)
+    with pytest.raises(DimensionMismatch):
+        apply_mask(frame, np.ones(shape, dtype=bool), factor)
 
 
 @given(st.data())
