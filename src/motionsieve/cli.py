@@ -2,8 +2,9 @@
 
 Error contract: every failure prints one line on stderr shaped like
 ``error: <Category>: <detail>`` and exits 1 for runtime errors or 2 for
-argument problems.  Success prints a short human report on stdout;
-machine-readable JSON goes wherever --stats-json points.
+argument problems.  An interrupted run prints ``error: Interrupted`` and
+exits 130 for Ctrl-C or 143 for SIGTERM.  Success prints a short human
+report on stdout; machine-readable JSON goes wherever --stats-json points.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
+from dataclasses import fields
 from statistics import fmean, stdev
 
 from .errors import MotionSieveError, SidecarMismatch, ZeroInput
@@ -39,12 +42,17 @@ from .stats import (
     stats_table,
 )
 
-_CONFIG_KEYS = {
-    "threshold",
-    "downscale",
-    "buffer",
-    "keyframe_interval",
-    "min_motion_pixels",
+# One row per motion flag: (flag as a config key, MotionConfig field, help
+# prose).  Each flag's "(default N)" is read from MotionConfig itself.
+_MOTION_FLAGS = (
+    ("threshold", "threshold", "luma difference threshold, strict, 1-255"),
+    ("downscale", "downscale", "analysis grid block edge; 1 disables"),
+    ("buffer", "buffer_radius", "mask dilation radius in grid cells"),
+    ("keyframe_interval", "keyframe_interval", "full-frame cadence inside a motion run"),
+    ("min_motion_pixels", "min_motion_pixels", "minimum mask population to keep a frame"),
+)
+
+_CONFIG_KEYS = {flag for flag, _, _ in _MOTION_FLAGS} | {
     "queue_capacity",
     "decode_cmd",
     "encode_cmd",
@@ -53,6 +61,15 @@ _CONFIG_KEYS = {
 
 class _UsageError(Exception):
     """Bad arguments or config; reported with exit status 2."""
+
+
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised so that it takes the Ctrl-C path: the pipeline
+    stages stop and the codec children are killed."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
 
 
 def _require_file(path: str) -> None:
@@ -102,16 +119,10 @@ def _resolve_motion(ns) -> tuple[MotionConfig, int, str | None, str | None]:
         return flag if flag is not None else file_values.get(name)
 
     overrides = {}
-    for flag_name, field in (
-        ("threshold", "threshold"),
-        ("downscale", "downscale"),
-        ("buffer", "buffer_radius"),
-        ("keyframe_interval", "keyframe_interval"),
-        ("min_motion_pixels", "min_motion_pixels"),
-    ):
-        value = pick(flag_name)
+    for flag, field, _ in _MOTION_FLAGS:
+        value = pick(flag)
         if value is not None:
-            overrides[field] = _to_int(flag_name, value)
+            overrides[field] = _to_int(flag, value)
     try:
         config = MotionConfig(**overrides)
     except ValueError as exc:
@@ -427,26 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     motion = argparse.ArgumentParser(add_help=False)
     group = motion.add_argument_group("motion analysis")
-    group.add_argument(
-        "--threshold", type=int,
-        help="luma difference threshold, strict, 1-255 (default 25)",
-    )
-    group.add_argument(
-        "--downscale", type=int,
-        help="analysis grid block edge; 1 disables (default 2)",
-    )
-    group.add_argument(
-        "--buffer", type=int,
-        help="mask dilation radius in grid cells (default 5)",
-    )
-    group.add_argument(
-        "--keyframe-interval", type=int,
-        help="full-frame cadence inside a motion run (default 100)",
-    )
-    group.add_argument(
-        "--min-motion-pixels", type=int,
-        help="minimum mask population to keep a frame (default 10)",
-    )
+    defaults = {field.name: field.default for field in fields(MotionConfig)}
+    for flag, field, prose in _MOTION_FLAGS:
+        group.add_argument(
+            "--" + flag.replace("_", "-"), type=int,
+            help=f"{prose} (default {defaults[field]})",
+        )
     group.add_argument(
         "--queue-capacity", type=int,
         help=f"pipeline stage queue depth (default {DEFAULT_QUEUE_CAPACITY})",
@@ -569,9 +566,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: IO: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        print("error: Interrupted", file=sys.stderr)
+        return 143 if isinstance(exc, _Terminated) else 130
 
 
 def run() -> None:
+    # Set here, not in main(), so that a program calling main() in-process
+    # keeps its own SIGTERM handling.
+    signal.signal(signal.SIGTERM, _raise_terminated)
     sys.exit(main())
 
 

@@ -357,24 +357,6 @@ class RawReader(_FrameReader):
         return _read_exact(self._stream, self.header.frame_size()) or None
 
 
-class RawWriter:
-    """Counterpart of RawReader: writes bare payloads, no markers."""
-
-    def __init__(self, stream: BinaryIO, header: StreamHeader):
-        self._stream = stream
-        self.header = header
-
-    def write_frame(self, frame: Frame) -> None:
-        _check_frame_shape(self.header, frame)
-        try:
-            self._stream.write(frame.data)
-        except (OSError, ValueError) as exc:
-            raise SinkUnavailable(str(exc)) from exc
-
-    def close(self) -> None:
-        self._stream.close()
-
-
 def count_y4m_frames(path) -> int:
     """Number of frames in a Y4M file, skipping payloads by seeking."""
     with open(path, "rb") as stream:
@@ -500,6 +482,11 @@ class CodecDecoder(_CodecChild):
             # The stream never started; the child's own failure is the
             # better diagnostic when it exited nonzero.
             self._check_exit(exc)
+            raise
+        except BaseException:
+            # Interrupted while the child is still running: nothing owns
+            # it yet, so kill it here.
+            self.abort()
             raise
         self.header = self._reader.header
 

@@ -91,7 +91,6 @@ class CompressionStats:
     frames_out: int
     bytes_in: int | float | None = None
     bytes_out: int | float | None = None
-    pixel_change: PixelChangeSeries | None = None
 
     @property
     def frame_reduction_pct(self) -> float:
@@ -111,7 +110,7 @@ class CompressionStats:
 
 def stats_json(stats: CompressionStats) -> str:
     """Deterministic JSON rendering; fixed key order, trailing newline."""
-    payload: dict = {
+    payload = {
         "frames_in": stats.frames_in,
         "frames_out": stats.frames_out,
         "frame_reduction_pct": stats.frame_reduction_pct,
@@ -119,31 +118,7 @@ def stats_json(stats: CompressionStats) -> str:
         "bytes_out": stats.bytes_out,
         "size_reduction_pct": stats.size_reduction_pct,
     }
-    if stats.pixel_change is not None:
-        payload["pixel_change_pct"] = {
-            "mean": stats.pixel_change.mean,
-            "median": stats.pixel_change.median,
-            "per_frame": stats.pixel_change.per_frame,
-        }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def stats_from_json(text: str) -> CompressionStats:
-    """Inverse of stats_json for the stored (non-derived) fields."""
-    payload = json.loads(text)
-    series = None
-    if "pixel_change_pct" in payload:
-        block = payload["pixel_change_pct"]
-        series = PixelChangeSeries(
-            list(block["per_frame"]), block["mean"], block["median"]
-        )
-    return CompressionStats(
-        payload["frames_in"],
-        payload["frames_out"],
-        payload["bytes_in"],
-        payload["bytes_out"],
-        series,
-    )
 
 
 def stats_table(stats: CompressionStats) -> str:
@@ -160,10 +135,5 @@ def stats_table(stats: CompressionStats) -> str:
         ]
         if stats.size_reduction_pct is not None:
             rows.append(("size reduction", f"{stats.size_reduction_pct:.2f}%"))
-    if stats.pixel_change is not None:
-        rows += [
-            ("pixel change mean", f"{stats.pixel_change.mean:.2f}%"),
-            ("pixel change median", f"{stats.pixel_change.median:.2f}%"),
-        ]
     width = max(len(label) for label, _ in rows)
     return "\n".join(f"{label:<{width}}  {value}" for label, value in rows) + "\n"

@@ -2,15 +2,27 @@ import gzip
 import io
 import json
 import os
+import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from motionsieve import PixelFormat, StreamHeader, Y4MReader, cli, read_sidecar
+from motionsieve import (
+    MotionConfig,
+    PixelFormat,
+    StreamHeader,
+    Y4MReader,
+    cli,
+    read_sidecar,
+    serialize_y4m_header,
+)
 from synth import frames_to_y4m, gray_frame, moving_square_video
 
 GZ_DECODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec decode {{input}}"
@@ -112,6 +124,76 @@ def test_compress_config_file_and_flag_precedence(tmp_path):
     with open(prefix_hi + ".csv", encoding="utf-8") as fh:
         rows = fh.read().splitlines()
     assert len(rows) == 11  # header + every frame kept
+
+
+# (config key, non-default value): every knob a config file can set to a
+# number.  Each motion value changes the output of the clip below.
+_KNOB_VALUES = (
+    ("threshold", 100),
+    ("downscale", 4),
+    ("buffer", 1),
+    ("keyframe_interval", 3),
+    ("min_motion_pixels", 200),
+    ("queue_capacity", 2),
+)
+
+
+@pytest.mark.parametrize(
+    "spelling, value",
+    sorted(
+        {(spelling, value)
+         for key, value in _KNOB_VALUES
+         for spelling in (key, key.replace("_", "-"))}
+    ),
+)
+def test_config_key_matches_flag(tmp_path, spelling, value):
+    """A config-file key gives the same bytes as its flag, in either
+    spelling."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    header = StreamHeader(128, 96, 30, 1, PixelFormat.GRAY8)
+    frames = moving_square_video(128, 96, 12, background=60, step=2)
+    with open(src, "wb") as fh:
+        fh.write(frames_to_y4m(header, frames))
+    config_path = os.path.join(tmp_path, "knob.conf")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(f"{spelling} = {value}\n")
+    flag = "--" + spelling.replace("_", "-")
+
+    def outputs(name, extra):
+        prefix = os.path.join(tmp_path, name)
+        code, _, err = run_cli(
+            ["compress", "--input", src, "--output", prefix] + extra
+        )
+        assert code == 0, err
+        blobs = []
+        for suffix in (".y4m", ".csv"):
+            with open(prefix + suffix, "rb") as fh:
+                blobs.append(fh.read())
+        return blobs
+
+    from_file = outputs("file", ["--config", config_path])
+    assert from_file == outputs("flag", [flag, str(value)])
+    if spelling.replace("-", "_") != "queue_capacity":
+        assert from_file != outputs("default", [])
+
+
+@pytest.mark.parametrize("command", ["compress", "bench"])
+def test_help_shows_motion_config_defaults(command):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer), pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(buffer.getvalue().split())
+    flags = {
+        "buffer_radius": "buffer",
+        "threshold": "threshold",
+        "downscale": "downscale",
+        "keyframe_interval": "keyframe-interval",
+        "min_motion_pixels": "min-motion-pixels",
+    }
+    for field in fields(MotionConfig):
+        flag = flags[field.name]
+        entry = rf"--{flag} {flag.replace('-', '_').upper()} (?:(?!--).)*?"
+        assert re.search(rf"{entry}\(default {field.default}\)", text), flag
 
 
 def test_compress_rejects_bad_threshold(tmp_path):
@@ -663,3 +745,82 @@ def test_rejected_header_closes_input(tmp_path):
         assert err.startswith("error: MalformedHeader:")
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert not leaks, (args[0], [str(w.message) for w in leaks])
+
+
+def _sigint_default():
+    # A shell starts background jobs with SIGINT ignored, and Python keeps
+    # an inherited SIG_IGN; restore the default so the run sees Ctrl-C.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "sig, status", [(signal.SIGINT, 130), (signal.SIGTERM, 143)]
+)
+@pytest.mark.parametrize("stalled", ["header", "decoder", "encoder"])
+def test_signal_stops_run_on_stalled_codec(tmp_path, stalled, sig, status):
+    """Ctrl-C and SIGTERM end a run stuck on a stalled codec child within
+    3 s, with one error line, only *.partial outputs and no child left."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    header, _ = write_square_y4m(src, count=20, width=320, height=240)
+    prefix = os.path.join(tmp_path, "out")
+    args = [
+        sys.executable, "-m", "motionsieve.cli", "compress", "--input", src,
+        "--output", prefix, "--min-motion-pixels", "1",
+    ]
+    # The sidecar partial is opened after the SIGTERM handler is set.
+    ready = prefix + ".csv.partial"
+    if stalled == "header":
+        # Silence before the stream header, while the input is opened.
+        ready = src + ".started"
+        args += ["--decode-cmd", "sh -c 'touch {input}.started; exec sleep 30'"]
+    elif stalled == "decoder":
+        # The header and two frames, then silence with stdout held open.
+        size = len(serialize_y4m_header(header)) + 2 * (6 + header.frame_size())
+        args += ["--decode-cmd", f"sh -c 'head -c {size} {{input}}; exec sleep 30'"]
+    else:
+        # Never reads stdin, so the writer blocks once the pipe is full.
+        args += ["--encode-cmd", "sh -c 'exec sleep 30' {output}"]
+    # The run leads its own session, so its process group holds the run
+    # and every codec child it starts.
+    proc = subprocess.Popen(
+        args,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+        preexec_fn=_sigint_default,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not os.path.exists(ready):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.2)
+        sent = time.monotonic()
+        os.kill(proc.pid, sig)
+        _, err = proc.communicate(timeout=10)
+        elapsed = time.monotonic() - sent
+        assert proc.returncode == status
+        assert err == b"error: Interrupted\n"
+        assert elapsed < 3.0
+        left = [name for name in os.listdir(tmp_path) if name.startswith("out.")]
+        assert all(name.endswith(".partial") for name in left), left
+        deadline = time.monotonic() + 1.0
+        while _group_alive(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _group_alive(proc.pid)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stderr.close()

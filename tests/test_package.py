@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import motionsieve
@@ -23,3 +24,18 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_all_matches_public_namespace():
+    """``__all__`` lists exactly the public names the package exports."""
+    for name in motionsieve.__all__:
+        assert hasattr(motionsieve, name), name
+    public = {
+        name
+        for name, value in vars(motionsieve).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(motionsieve.__all__)
+    assert len(motionsieve.__all__) == len(public)
+    assert "RawWriter" not in public
+    assert "stats_from_json" not in public
