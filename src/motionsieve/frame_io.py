@@ -31,6 +31,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Iterator
 
+try:
+    import fcntl
+except ImportError:  # not POSIX
+    fcntl = None
+
 from .errors import (
     BrokenPipe,
     DimensionMismatch,
@@ -46,6 +51,11 @@ from .errors import (
 
 _MAX_LINE = 4096
 _STDERR_TAIL = 8192
+# Bytes asked of the kernel for each codec pipe: Linux's default
+# pipe-max-size for unprivileged processes, so a 3.1 MB 1080p frame
+# crosses in about 3 wakeups instead of about 48 through the default
+# 64 KiB pipe.
+_PIPE_BYTES = 1 << 20
 # Largest accepted frame edge: 16K video fits, and a hostile header cannot
 # make a reader ask for a multi-gigabyte payload.
 _MAX_DIMENSION = 16384
@@ -427,6 +437,7 @@ class _CodecChild:
         except OSError as exc:
             raise SpawnFailure(f"cannot run {argv[0]!r}: {exc}") from exc
         self._pipe = self._proc.stdin if writes else self._proc.stdout
+        _widen_pipe(self._pipe)
         self._stderr = _StderrDrain(self._proc.stderr)
 
     def close(self) -> None:
@@ -462,6 +473,19 @@ class _CodecChild:
             self.close()
         else:
             self.abort()
+
+
+def _widen_pipe(pipe) -> None:
+    """Enlarge a pipe's kernel buffer to _PIPE_BYTES where the platform
+    allows it; a refusal (a lower pipe-max-size, the per-user pipe quota)
+    leaves the default size, which is slower but correct."""
+    set_size = getattr(fcntl, "F_SETPIPE_SZ", None)
+    if set_size is None:
+        return
+    try:
+        fcntl.fcntl(pipe.fileno(), set_size, _PIPE_BYTES)
+    except OSError:
+        pass
 
 
 class CodecDecoder(_CodecChild):

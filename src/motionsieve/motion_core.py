@@ -90,20 +90,14 @@ def downscale(gray: np.ndarray, factor: int) -> np.ndarray:
     if factor == 1:
         return gray
     h, w = gray.shape
-    # Sum the strided views, rows first and then columns, so the call count
-    # is min(s, h) + min(s, w) and nothing larger than the frame is
+    # Sum the strided views, rows first and then columns (as the rows of
+    # the transpose, which numpy walks in memory order), so the call count
+    # is at most min(s, h) + min(s, w) and nothing larger than the frame is
     # allocated whatever the factor.  The accumulator is the narrowest
     # unsigned type that holds 2 * sum + count for the largest tile.
-    tile_rows, tile_cols = min(factor, h), min(factor, w)
-    dtype = np.min_scalar_type(511 * tile_rows * tile_cols)
-    rows = np.zeros((-(-h // factor), w), dtype)
-    for dy in range(tile_rows):
-        view = gray[dy::factor]
-        rows[: view.shape[0]] += view
-    sums = np.zeros((rows.shape[0], -(-w // factor)), dtype)
-    for dx in range(tile_cols):
-        view = rows[:, dx::factor]
-        sums[:, : view.shape[1]] += view
+    dtype = np.min_scalar_type(511 * min(factor, h) * min(factor, w))
+    rows = _sum_rows(gray, factor, dtype)
+    sums = _sum_rows(rows.T, factor, dtype).T
     if h % factor or w % factor:
         counts = np.multiply.outer(
             _tile_lengths(h, factor), _tile_lengths(w, factor)
@@ -115,6 +109,27 @@ def downscale(gray: np.ndarray, factor: int) -> np.ndarray:
     sums += counts
     sums //= 2 * counts
     return sums.astype(np.uint8)
+
+
+def _sum_rows(a: np.ndarray, factor: int, dtype) -> np.ndarray:
+    """Sum each run of ``factor`` rows of a 2-D array into ``dtype``; a
+    ragged last run sums its in-bounds rows.
+
+    The accumulator starts as the sum of the first two strided views, so
+    no zeroed buffer is made and filled; a view one row shorter than the
+    first adds into the accumulator's head.
+    """
+    first, second = a[::factor], a[1::factor]
+    if len(second) == len(first):
+        acc = np.add(first, second, dtype=dtype)
+        start = 2
+    else:
+        acc = first.astype(dtype)
+        start = 1
+    for offset in range(start, min(factor, len(a))):
+        view = a[offset::factor]
+        acc[: len(view)] += view
+    return acc
 
 
 def _tile_lengths(size: int, factor: int) -> np.ndarray:
@@ -154,21 +169,29 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
         raise ValueError("dilation radius must be >= 0")
     if radius == 0 or not mask.any():
         return mask
-    # Separable shift-OR: OR 2r+1 row-shifted slices of a zero-padded copy,
-    # then 2r+1 column-shifted slices of the result.
+    # Separable shift-OR over a zero-padded copy, rows and then columns.
+    # After a step that ORs in the slice ``step`` ahead, each cell holds
+    # the OR of the ``covered`` cells from it onward, so doubling reaches
+    # the 2r+1 window in ceil(log2(2r+1)) steps per axis.
     h, w = mask.shape
     span = 2 * radius + 1
-    padded = np.zeros((h + 2 * radius, w), dtype=bool)
-    padded[radius : radius + h] = mask
-    tall = padded[:h].copy()
-    for shift in range(1, span):
-        tall |= padded[shift : shift + h]
-    padded = np.zeros((h, w + 2 * radius), dtype=bool)
-    padded[:, radius : radius + w] = tall
-    grown = padded[:, :w].copy()
-    for shift in range(1, span):
-        grown |= padded[:, shift : shift + w]
-    return grown
+    tall = np.zeros((h + 2 * radius, w), dtype=bool)
+    tall[radius : radius + h] = mask
+    grown = np.zeros((h, w + 2 * radius), dtype=bool)
+    grown[:, radius : radius + w] = _window_or(tall, span)[:h]
+    return _window_or(grown.T, span).T[:, :w]
+
+
+def _window_or(padded: np.ndarray, span: int) -> np.ndarray:
+    """OR ``padded`` in place over windows of ``span`` rows; row i then
+    holds the OR of rows i .. i+span-1, for every i whose window lies
+    inside the array."""
+    covered = 1
+    while covered < span:
+        step = min(covered, span - covered)
+        padded[: len(padded) - step] |= padded[step:]
+        covered += step
+    return padded
 
 
 def mask_grid_shape(width: int, height: int, factor: int) -> tuple[int, int]:

@@ -27,10 +27,11 @@ from .sidecar import SidecarRecord
 from .stats import CompressionStats
 
 # Frames each inter-stage queue holds.  A 1080p YUV420 frame is ~3.1 MB,
-# so the two queues can hold ~400 MB.  A depth of 8 halves peak RSS on
-# the 1080p compress benchmarks but costs ~4% fps on static-1080p
-# (BENCH_5.json), so the default stays 64.
-DEFAULT_QUEUE_CAPACITY = 64
+# so the two queues can hold ~50 MB.  With the 1 MiB codec pipe the read
+# stage keeps analysis fed at this depth: against depth 64, traced
+# analysis waits the same, fps is within run-to-run spread, and peak RSS
+# is 100 MB instead of 233 MB on busy-1080p (BENCH_8.json).
+DEFAULT_QUEUE_CAPACITY = 8
 
 _SENTINEL = object()
 _POLL_SECONDS = 0.05

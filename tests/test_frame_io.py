@@ -3,6 +3,11 @@ import io
 import shlex
 import sys
 
+try:
+    import fcntl
+except ImportError:  # not POSIX
+    fcntl = None
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +37,10 @@ from synth import frames_to_y4m, gray_frame, random_frame
 
 GZ_DECODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec decode {{input}}"
 GZ_ENCODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec encode {{output}}"
+
+needs_pipe_sizing = pytest.mark.skipif(
+    not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipes cannot be resized here"
+)
 
 
 def header_stream(text: str) -> io.BytesIO:
@@ -268,6 +277,54 @@ def test_codec_decoder_via_cat(tmp_path):
     with CodecDecoder("cat {input}", path) as decoder:
         assert decoder.header == header
         out = list(decoder)
+    assert [f.data for f in out] == [f.data for f in frames]
+
+
+def _clip(tmp_path, count=6):
+    """A GRAY8 clip whose 76.8 kB frames each overflow a default 64 KiB pipe."""
+    header = StreamHeader(320, 240, 30, 1, PixelFormat.GRAY8)
+    rng = np.random.default_rng(17)
+    frames = [random_frame(rng, 320, 240, PixelFormat.GRAY8, i) for i in range(count)]
+    path = tmp_path / "clip.y4m"
+    path.write_bytes(frames_to_y4m(header, frames))
+    return header, frames, path
+
+
+def _pipe_max_size() -> int:
+    try:
+        with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as fh:
+            return int(fh.read())
+    except OSError:
+        return 0
+
+
+@needs_pipe_sizing
+def test_codec_pipes_hold_one_mib(tmp_path):
+    if _pipe_max_size() < 1 << 20:
+        pytest.skip("pipe-max-size is below 1 MiB")
+    header, frames, path = _clip(tmp_path)
+    with CodecDecoder("cat {input}", path) as decoder:
+        assert fcntl.fcntl(decoder._pipe.fileno(), fcntl.F_GETPIPE_SZ) == 1 << 20
+        assert [f.data for f in decoder] == [f.data for f in frames]
+    with CodecEncoder(GZ_ENCODE, tmp_path / "out.y4m.gz", header) as encoder:
+        assert fcntl.fcntl(encoder._pipe.fileno(), fcntl.F_GETPIPE_SZ) == 1 << 20
+
+
+@needs_pipe_sizing
+def test_codec_decoder_reads_every_frame_when_resize_refused(tmp_path, monkeypatch):
+    """A refused resize (a lower pipe-max-size, the per-user pipe quota)
+    leaves the default pipe, which still carries every frame."""
+    asked = []
+
+    def refuse(fd, cmd, arg=0):
+        asked.append(cmd)
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    _, frames, path = _clip(tmp_path)
+    with CodecDecoder("cat {input}", path) as decoder:
+        out = list(decoder)
+    assert asked == [fcntl.F_SETPIPE_SZ]
     assert [f.data for f in out] == [f.data for f in frames]
 
 

@@ -151,6 +151,32 @@ def test_downscale_production_factors_match_bruteforce(factor, ragged, fill):
     assert downscale(arr, factor).tolist() == oracle_downscale(arr.tolist(), factor)
 
 
+@pytest.mark.parametrize("factor", [2, 3, 4, 6])
+@pytest.mark.parametrize(
+    "case",
+    ["second-short-rows", "second-short-cols", "second-short-both",
+     "one-row", "one-col", "one-pixel"],
+)
+@pytest.mark.parametrize("fill", ["all-255", "random"])
+def test_downscale_short_or_missing_second_view(factor, case, fill):
+    """h or w = s + 1 makes the second strided view one entry shorter than
+    the first, and h or w = 1 leaves the first view alone, so the
+    accumulator starts from one view instead of the sum of two."""
+    shape = {
+        "second-short-rows": (factor + 1, 3 * factor),
+        "second-short-cols": (2 * factor, factor + 1),
+        "second-short-both": (factor + 1, factor + 1),
+        "one-row": (1, 2 * factor + 1),
+        "one-col": (2 * factor + 1, 1),
+        "one-pixel": (1, 1),
+    }[case]
+    if fill == "all-255":
+        arr = np.full(shape, 255, dtype=np.uint8)
+    else:
+        arr = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+    assert downscale(arr, factor).tolist() == oracle_downscale(arr.tolist(), factor)
+
+
 def test_downscale_huge_factor_allocates_only_frame_sized_memory():
     """A factor far beyond the frame makes one partial tile; padding the
     frame out to the factor would need about factor**2 bytes."""
@@ -239,6 +265,20 @@ def test_dilate_clips_at_edges():
 def test_dilate_matches_bruteforce(mask, radius):
     got = dilate(mask, radius)
     assert got.tolist() == oracle_dilate(mask.tolist(), radius)
+
+
+@pytest.mark.parametrize("radius", [*range(10), 50])
+@pytest.mark.parametrize("shape", [(1, 37), (37, 1), (23, 31)])
+def test_dilate_every_radius_matches_bruteforce(radius, shape):
+    """Radii 0-9 and one past the grid's size: the doubling ORs a shorter
+    slice in its last step at most radii, and a strip or a grid smaller
+    than the kernel leaves every slice reaching past an edge."""
+    rng = np.random.default_rng(radius * 100 + shape[0])
+    for density in (0.02, 0.1):
+        mask = rng.random(shape) < density
+        mask.flat[rng.integers(mask.size)] = True
+        got = dilate(mask, radius)
+        assert got.tolist() == oracle_dilate(mask.tolist(), radius)
 
 
 @given(
