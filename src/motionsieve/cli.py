@@ -10,11 +10,13 @@ report on stdout; machine-readable JSON goes wherever --stats-json points.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import signal
 import sys
 import tempfile
+import threading
 from contextlib import ExitStack, contextmanager
 from dataclasses import fields
 from statistics import fmean, stdev
@@ -308,11 +310,10 @@ def cmd_stats(ns) -> int:
         if not ns.input:
             raise _UsageError("--pixel-change requires --input")
         _require_file(ns.input)
-        threshold = ns.threshold if ns.threshold is not None else 25
-        if not 0 <= threshold <= 255:
+        if not 0 <= ns.threshold <= 255:
             raise _UsageError("threshold must be in [0, 255]")
         with open(ns.input, "rb") as handle:
-            series = pixel_change_series(iter(Y4MReader(handle)), threshold)
+            series = pixel_change_series(iter(Y4MReader(handle)), ns.threshold)
         table = (
             f"pixel change mean    {series.mean:.2f}%\n"
             f"pixel change median  {series.median:.2f}%\n"
@@ -519,9 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-frame changed-pixel percentages for --input",
     )
     stats.add_argument("--input", help="video for --pixel-change")
+    threshold = inspect.signature(pixel_change_series).parameters["threshold"]
     stats.add_argument(
-        "--threshold", type=int,
-        help="pixel-change threshold, 0-255 (default 25)",
+        "--threshold", type=int, default=threshold.default,
+        help=f"pixel-change threshold, 0-255 (default {threshold.default})",
     )
     stats.add_argument(
         "--stats-json", help="write JSON here (- for stdout only)"
@@ -575,7 +577,16 @@ def run() -> None:
     # Set here, not in main(), so that a program calling main() in-process
     # keeps its own SIGTERM handling.
     signal.signal(signal.SIGTERM, _raise_terminated)
-    sys.exit(main())
+    status = main()
+    if any(thread.name.startswith("motionsieve-") and thread.is_alive()
+           for thread in threading.enumerate()):
+        # A stage stuck in a read nothing can abort, such as a stalled
+        # stdin, would hang or crash interpreter shutdown; the outputs are
+        # closed by now, so exit without it.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(status)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ name the compressed file.
 
 from __future__ import annotations
 
+import os
 import shlex
+import signal
 import subprocess
 import threading
 from dataclasses import dataclass
@@ -418,6 +420,8 @@ class _CodecChild:
     The child's stderr is drained so it can never block.  close() waits
     for the child and raises NonZeroExit, carrying the stderr tail, on a
     nonzero status; abort() kills it without caring about its status.
+    The child leads a process group of its own, so abort() also kills
+    whatever a shell command forked instead of exec'ing.
     """
 
     _role = ""
@@ -433,6 +437,7 @@ class _CodecChild:
                 stdin=subprocess.PIPE if writes else subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL if writes else subprocess.PIPE,
                 stderr=subprocess.PIPE,
+                start_new_session=True,
             )
         except OSError as exc:
             raise SpawnFailure(f"cannot run {argv[0]!r}: {exc}") from exc
@@ -445,8 +450,11 @@ class _CodecChild:
         self._check_exit()
 
     def abort(self) -> None:
-        """Kill the child without caring about its status."""
-        self._proc.kill()
+        """Kill the child's process group without caring about its status."""
+        try:
+            os.killpg(self._proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         self._reap()
 
     def _check_exit(self, cause: BaseException | None = None) -> None:

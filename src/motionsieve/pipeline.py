@@ -18,7 +18,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import StageFailure
 from .frame_io import Frame
@@ -44,29 +44,37 @@ class _Cancelled(Exception):
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """What a run did and how fast: frame counts, wall time in seconds,
-    processing speed in frames per second, and the counts as stats."""
+    """What a run did: frame counts and wall time in seconds."""
 
     frames_in: int
     frames_out: int
     wall_time: float
-    processing_speed: float
-    stats: CompressionStats
+
+    @property
+    def processing_speed(self) -> float:
+        """Frames read per second of wall time."""
+        return self.frames_in / self.wall_time
+
+    @property
+    def stats(self) -> CompressionStats:
+        return CompressionStats(self.frames_in, self.frames_out)
+
+
+def _kept(frames: Iterable[Frame], config: MotionConfig) -> Iterator:
+    """The analysis fold: every outcome that is not a drop, in order."""
+    state = AnalysisState()
+    for frame in frames:
+        outcome, state = analyse(state, config, frame)
+        if outcome.kind is not OutcomeKind.DROP:
+            yield outcome
 
 
 def reference_compress(
     frames: Iterable[Frame], config: MotionConfig
 ) -> tuple[list[Frame], list[SidecarRecord]]:
     """Single-threaded fold producing exactly what run_pipeline must emit."""
-    state = AnalysisState()
-    kept: list[Frame] = []
-    records: list[SidecarRecord] = []
-    for frame in frames:
-        outcome, state = analyse(state, config, frame)
-        if outcome.kind is not OutcomeKind.DROP:
-            kept.append(outcome.frame)
-            records.append(outcome.record)
-    return kept, records
+    outcomes = list(_kept(frames, config))
+    return [o.frame for o in outcomes], [o.record for o in outcomes]
 
 
 def run_pipeline(
@@ -92,7 +100,8 @@ def run_pipeline(
     stop = threading.Event()
     failure_lock = threading.Lock()
     failures: list[BaseException] = []
-    counts = {"in": 0, "out": 0}
+    results: dict[str, int] = {}
+    finished: list[threading.Event] = []
 
     def fail(exc: BaseException) -> None:
         with failure_lock:
@@ -100,84 +109,66 @@ def run_pipeline(
                 failures.append(exc)
         stop.set()
 
-    def put(q: queue.Queue, item) -> None:
-        while True:
-            if stop.is_set():
-                raise _Cancelled
+    def poll(call, *args):
+        """``call(*args)`` on a queue, retried until it goes through or
+        the run is cancelled."""
+        while not stop.is_set():
             try:
-                q.put(item, timeout=_POLL_SECONDS)
-                return
-            except queue.Full:
+                return call(*args, timeout=_POLL_SECONDS)
+            except (queue.Full, queue.Empty):
                 continue
+        raise _Cancelled
 
-    def get(q: queue.Queue):
-        while True:
-            if stop.is_set():
-                raise _Cancelled
+    def drain(q: queue.Queue):
+        while (item := poll(q.get)) is not _SENTINEL:
+            yield item
+
+    def pump(items, q: queue.Queue) -> int:
+        count = 0
+        for count, item in enumerate(items, 1):
+            poll(q.put, item)
+        poll(q.put, _SENTINEL)
+        return count
+
+    def write(outcomes) -> int:
+        count = 0
+        for count, outcome in enumerate(outcomes, 1):
+            video_sink.write_frame(outcome.frame)
+            sidecar_sink.write_row(outcome.record)
+        return count
+
+    def stage(name: str, body, *args) -> None:
+        # The event, not Thread.join, tells when a stage is over: on
+        # CPython 3.11 a join interrupted by Ctrl-C marks the thread
+        # stopped while it still runs.
+        done = threading.Event()
+
+        def run() -> None:
             try:
-                return q.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                continue
+                results[name] = body(*args)
+            except _Cancelled:
+                pass
+            except BaseException as exc:
+                fail(exc)
+            finally:
+                done.set()
 
-    def read_stage() -> None:
-        try:
-            for frame in source:
-                counts["in"] += 1
-                put(frame_queue, frame)
-            put(frame_queue, _SENTINEL)
-        except _Cancelled:
-            pass
-        except BaseException as exc:
-            fail(exc)
+        threading.Thread(target=run, name=f"motionsieve-{name}").start()
+        finished.append(done)
 
-    def analysis_stage() -> None:
-        state = AnalysisState()
-        try:
-            while True:
-                item = get(frame_queue)
-                if item is _SENTINEL:
-                    put(outcome_queue, _SENTINEL)
-                    return
-                outcome, state = analyse(state, config, item)
-                if outcome.kind is not OutcomeKind.DROP:
-                    put(outcome_queue, outcome)
-        except _Cancelled:
-            pass
-        except BaseException as exc:
-            fail(exc)
-
-    def write_stage() -> None:
-        try:
-            while True:
-                item = get(outcome_queue)
-                if item is _SENTINEL:
-                    return
-                video_sink.write_frame(item.frame)
-                sidecar_sink.write_row(item.record)
-                counts["out"] += 1
-        except _Cancelled:
-            pass
-        except BaseException as exc:
-            fail(exc)
-
-    threads = [
-        threading.Thread(target=read_stage, name="motionsieve-read"),
-        threading.Thread(target=analysis_stage, name="motionsieve-analysis"),
-        threading.Thread(target=write_stage, name="motionsieve-write"),
-    ]
     started = time.monotonic()
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        stage("read", pump, source, frame_queue)
+        stage("analysis", pump, _kept(drain(frame_queue), config), outcome_queue)
+        stage("write", write, drain(outcome_queue))
+        for done in finished:
+            done.wait()
     except BaseException:
         # Ctrl-C lands here, in the calling thread: cancel the stages so the
         # process can exit, but never wait long on a source stuck in next().
         stop.set()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join(_SHUTDOWN_SECONDS)
+        for done in finished:
+            done.wait(_SHUTDOWN_SECONDS)
         raise
     wall_time = max(time.monotonic() - started, 1e-9)
 
@@ -185,10 +176,4 @@ def run_pipeline(
         first = failures[0]
         raise StageFailure(f"{type(first).__name__}: {first}") from first
 
-    return PipelineReport(
-        frames_in=counts["in"],
-        frames_out=counts["out"],
-        wall_time=wall_time,
-        processing_speed=counts["in"] / wall_time,
-        stats=CompressionStats(counts["in"], counts["out"]),
-    )
+    return PipelineReport(results["read"], results["write"], wall_time)

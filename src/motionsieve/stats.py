@@ -14,9 +14,11 @@ from decimal import ROUND_HALF_UP, Decimal
 from statistics import fmean, median
 from typing import Iterable
 
+import numpy as np
+
 from .errors import TooFewFrames, ZeroInput
 from .frame_io import Frame
-from .motion_core import abs_diff, to_grayscale
+from .motion_core import abs_diff, threshold_mask, to_grayscale
 
 
 def _as_decimal(value) -> Decimal:
@@ -74,7 +76,7 @@ def pixel_change_series(
     for frame in frames:
         gray = to_grayscale(frame)
         if prev is not None:
-            changed = int((abs_diff(prev, gray) > threshold).sum())
+            changed = np.count_nonzero(threshold_mask(abs_diff(prev, gray), threshold))
             values.append(changed * 100.0 / gray.size)
         prev = gray
     if not values:

@@ -824,3 +824,102 @@ def test_signal_stops_run_on_stalled_codec(tmp_path, stalled, sig, status):
             pass
         proc.wait()
         proc.stderr.close()
+
+
+
+def _terminate_when(ready, proc, tmp_path):
+    """SIGTERM ``proc`` once ``ready()`` holds and check that it exits 143
+    within 3 s, with one error line and only *.partial outputs."""
+    deadline = time.monotonic() + 30
+    while not ready():
+        assert proc.poll() is None, proc.stderr.read()
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    time.sleep(0.2)
+    sent = time.monotonic()
+    os.kill(proc.pid, signal.SIGTERM)
+    # Not communicate(): it closes stdin, which would end a stalled read.
+    proc.wait(timeout=10)
+    elapsed = time.monotonic() - sent
+    assert proc.returncode == 143
+    assert proc.stderr.read() == b"error: Interrupted\n"
+    assert elapsed < 3.0
+    left = [name for name in os.listdir(tmp_path) if name.startswith("out.")]
+    assert left and all(name.endswith(".partial") for name in left), left
+
+
+def _kill_groups(*groups):
+    for group in groups:
+        try:
+            if group is not None:
+                os.killpg(group, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def test_sigterm_ends_run_on_stalled_stdin(tmp_path):
+    """SIGTERM ends `compress --input -` whose stdin stalls mid-stream,
+    although the read stage stays blocked on stdin."""
+    header = StreamHeader(320, 240, 30, 1, PixelFormat.GRAY8)
+    prefix = os.path.join(tmp_path, "out")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "motionsieve.cli", "compress", "--input", "-",
+         "--output", prefix],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        # The header and two frames, then silence with stdin held open.
+        proc.stdin.write(frames_to_y4m(header, moving_square_video(320, 240, 2)))
+        proc.stdin.flush()
+        _terminate_when(lambda: os.path.exists(prefix + ".csv.partial"), proc, tmp_path)
+    finally:
+        _kill_groups(proc.pid)
+        proc.wait()
+        proc.stdin.close()
+        proc.stderr.close()
+
+
+def test_sigterm_kills_codec_process_group(tmp_path):
+    """A decode command whose shell forks instead of exec'ing is killed
+    with everything it started: SIGTERM ends the run within 3 s and
+    leaves no process in the codec's group."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    header, _ = write_square_y4m(src, count=20, width=320, height=240)
+    prefix = os.path.join(tmp_path, "out")
+    pid_file = src + ".pid"
+    size = len(serialize_y4m_header(header)) + 2 * (6 + header.frame_size())
+    # No exec: the shell stays the codec child and `sleep`, its child,
+    # holds the decoder's stdout open.
+    decode = f"sh -c 'echo $$ > {{input}}.pid; head -c {size} {{input}}; sleep 30'"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "motionsieve.cli", "compress", "--input", src,
+         "--output", prefix, "--decode-cmd", decode],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+
+    def codec_group():
+        if os.path.exists(pid_file):
+            with open(pid_file, encoding="ascii") as fh:
+                text = fh.read().strip()
+            return int(text) if text else None
+
+    try:
+        _terminate_when(
+            lambda: codec_group() and os.path.exists(prefix + ".csv.partial"),
+            proc, tmp_path,
+        )
+        # The killed `sleep` is an orphan: init reaps it, not the run, and
+        # a container's init may take a second or two to get to it.
+        deadline = time.monotonic() + 5.0
+        while _group_alive(codec_group()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _group_alive(codec_group())
+    finally:
+        _kill_groups(proc.pid, codec_group())
+        proc.wait()
+        proc.stderr.close()

@@ -247,6 +247,53 @@ def test_ctrl_c_while_joining_stops_every_stage():
         signal.signal(signal.SIGINT, previous)
 
 
+def test_ctrl_c_keeps_a_stage_stuck_in_next_alive():
+    """After Ctrl-C, a read stage still blocked in the source's next()
+    reports alive until the source lets go, so a caller can tell that a
+    stage is stuck instead of finding every stage stopped."""
+    import os
+    import signal
+    import threading
+    import time
+
+    frame = gray_frame(np.full((16, 16), 7, np.uint8))
+    entered = threading.Event()
+    release = threading.Event()
+
+    def stuck():
+        yield frame
+        entered.set()
+        release.wait(10)
+        yield frame
+
+    def interrupt():
+        if entered.wait(10):
+            # Let run_pipeline start every stage and settle into its wait.
+            time.sleep(0.2)
+            os.kill(os.getpid(), signal.SIGINT)
+
+    from motionsieve import PixelFormat, StreamHeader
+
+    writer = Y4MWriter(io.BytesIO(), StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8))
+    interrupter = threading.Thread(target=interrupt)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        interrupter.start()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(stuck(), MotionConfig(), writer,
+                         SidecarWriter(io.StringIO()), queue_capacity=2)
+        [reader] = [t for t in threading.enumerate() if t.name == "motionsieve-read"]
+        assert reader.is_alive()
+        release.set()
+        reader.join(5.0)
+        assert not reader.is_alive()
+    finally:
+        release.set()
+        # No SIGINT may land once the previous handler is back.
+        interrupter.join(15.0)
+        signal.signal(signal.SIGINT, previous)
+
+
 def _peak_traced_bytes(side, count, **kwargs):
     """Peak memory traced while run_pipeline moves ``count`` fresh
     side x side GRAY8 frames into a video sink that takes 5 ms a frame."""
