@@ -6,6 +6,18 @@ frame came from so both original-timeline playback streams can be rebuilt
 later.
 """
 
+import os
+import sys
+
+# motionsieve never calls BLAS, yet OpenBLAS starts a spinning worker thread
+# per extra core when numpy loads; keep this process's pool to one thread.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     BrokenPipe,
     DimensionMismatch,

@@ -165,10 +165,12 @@ def run_pipeline(
             done.wait()
     except BaseException:
         # Ctrl-C lands here, in the calling thread: cancel the stages so the
-        # process can exit, but never wait long on a source stuck in next().
+        # process can exit, but never wait long on a source stuck in next():
+        # every stage shares one deadline.
         stop.set()
+        deadline = time.monotonic() + _SHUTDOWN_SECONDS
         for done in finished:
-            done.wait(_SHUTDOWN_SECONDS)
+            done.wait(max(0.0, deadline - time.monotonic()))
         raise
     wall_time = max(time.monotonic() - started, 1e-9)
 

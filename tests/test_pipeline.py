@@ -294,6 +294,55 @@ def test_ctrl_c_keeps_a_stage_stuck_in_next_alive():
         signal.signal(signal.SIGINT, previous)
 
 
+def test_ctrl_c_waits_once_for_all_stuck_stages():
+    """With the read stage stuck in next() and the write stage stuck in
+    write_frame, Ctrl-C re-raises after one shutdown wait shared by every
+    stage, not one wait per stuck stage."""
+    import os
+    import signal
+    import threading
+    import time
+
+    frame = gray_frame(np.full((16, 16), 7, np.uint8))
+    source_stuck = threading.Event()
+    sink_stuck = threading.Event()
+    release = threading.Event()
+
+    def stuck():
+        yield frame
+        source_stuck.set()
+        release.wait(10)
+
+    class StuckSink:
+        def write_frame(self, frame):
+            sink_stuck.set()
+            release.wait(10)
+
+        def write_row(self, record):
+            pass
+
+    sent = []
+
+    def interrupt():
+        if source_stuck.wait(10) and sink_stuck.wait(10):
+            time.sleep(0.1)
+            sent.append(time.monotonic())
+            os.kill(os.getpid(), signal.SIGINT)
+
+    sink = StuckSink()
+    interrupter = threading.Thread(target=interrupt)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        interrupter.start()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(stuck(), MotionConfig(), sink, sink, queue_capacity=2)
+        assert time.monotonic() - sent[0] < 1.5
+    finally:
+        release.set()
+        interrupter.join(15.0)
+        signal.signal(signal.SIGINT, previous)
+
+
 def _peak_traced_bytes(side, count, **kwargs):
     """Peak memory traced while run_pipeline moves ``count`` fresh
     side x side GRAY8 frames into a video sink that takes 5 ms a frame."""
