@@ -94,6 +94,8 @@ def _load_config(path: str) -> dict[str, str]:
             lines = handle.readlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError:
+        raise _UsageError(f"config file is not UTF-8 text: {path}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

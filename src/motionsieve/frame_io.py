@@ -29,7 +29,7 @@ import shlex
 import signal
 import subprocess
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import BinaryIO, Iterator
 
@@ -130,35 +130,53 @@ class StreamHeader:
 
 @dataclass(frozen=True)
 class Frame:
-    """One video frame: position in the input stream plus raw planar bytes."""
+    """One video frame: position in the input stream plus raw planar bytes.
+
+    ``data`` is ``bytes`` or any read-only, C-contiguous buffer of the
+    frame's size, such as a read-only numpy array, so a frame made from an
+    array needs no copy.  A buffer other than ``bytes`` is kept as a flat
+    ``memoryview`` of bytes, so ``len(data)`` is always the byte count.
+    A writable buffer is refused, so a frame cannot change after it is
+    made, not even while it waits in a queue.  Frames compare by content;
+    ``hash`` leaves ``data`` out, because a view of an array cannot be
+    hashed.
+    """
 
     index: int
     width: int
     height: int
     pixel_format: PixelFormat
-    data: bytes
+    data: bytes | memoryview = field(hash=False)
 
     def __post_init__(self) -> None:
         if self.pixel_format is PixelFormat.YUV420 and (
             self.width % 2 or self.height % 2
         ):
             raise ValueError("yuv420 requires even width and height")
+        view = memoryview(self.data)
+        if not view.readonly:
+            raise ValueError("payload must be read-only")
+        if not view.c_contiguous:
+            raise ValueError("payload must be C-contiguous")
         expected = self.pixel_format.frame_size(self.width, self.height)
-        if len(self.data) != expected:
-            raise ValueError(
-                f"payload is {len(self.data)} bytes, expected {expected}"
-            )
+        if view.nbytes != expected:
+            raise ValueError(f"payload is {view.nbytes} bytes, expected {expected}")
+        if not isinstance(self.data, bytes):
+            object.__setattr__(self, "data", view.cast("B"))
 
 
 def parse_y4m_header(stream: BinaryIO) -> StreamHeader:
     """Read and decode the Y4M signature line from ``stream``.
 
     Raises MalformedHeader when the signature or a required tag is missing
-    or undecodable or when W or H exceeds 16384, UnsupportedColorspace for
-    C tags outside the supported families.  A missing F tag defaults to
-    30:1, a missing C tag to the conventional 4:2:0.
+    or undecodable, when W or H exceeds 16384 or when the line is longer
+    than 4096 bytes, UnsupportedColorspace for C tags outside the supported
+    families.  A missing F tag defaults to 30:1, a missing C tag to the
+    conventional 4:2:0.
     """
     line = stream.readline(_MAX_LINE)
+    if len(line) == _MAX_LINE and not line.endswith(b"\n"):
+        raise MalformedHeader(f"header line is longer than {_MAX_LINE} bytes")
     tokens = line.decode("ascii", "replace").rstrip("\n").split(" ")
     if tokens[0] != "YUV4MPEG2" or len(tokens) < 2:
         raise MalformedHeader("missing YUV4MPEG2 signature")

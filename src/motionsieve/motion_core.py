@@ -225,7 +225,8 @@ def apply_mask(frame: Frame, mask: np.ndarray, factor: int = 1) -> Frame:
     sites survives, so kept luma never loses its color.  At an even factor
     each 2x2 chroma site lies inside one grid cell, so U and V take the
     grid at factor s/2; at an odd factor the four sites are ORed on the
-    grid.
+    grid.  The masked frame's data is a read-only view of the array it was
+    masked into, not a copy of it.
     """
     h, w = frame.height, frame.width
     _check_grid(mask, factor, w, h)
@@ -257,7 +258,8 @@ def apply_mask(frame: Frame, mask: np.ndarray, factor: int = 1) -> Frame:
             chroma_factor,
             kept[full_end:].reshape(chroma_shape),
         )
-    return Frame(frame.index, w, h, frame.pixel_format, kept.tobytes())
+    kept.flags.writeable = False
+    return Frame(frame.index, w, h, frame.pixel_format, memoryview(kept))
 
 
 def _check_grid(mask: np.ndarray, factor: int, width: int, height: int) -> None:

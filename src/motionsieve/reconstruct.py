@@ -126,7 +126,7 @@ def reconstruct_files(
                     header.width,
                     header.height,
                     PixelFormat.GRAY8,
-                    rebuilt.restored.tobytes(),
+                    memoryview(rebuilt.restored).toreadonly(),
                 )
             )
             align_file.write(f"{position},{rebuilt.input_index}\n")

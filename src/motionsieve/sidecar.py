@@ -17,6 +17,9 @@ from typing import IO, Iterable
 from .errors import MalformedRow, NonMonotonicIndex
 
 FIELDNAMES = ("input_frame", "output_frame", "full_frame")
+# Longest field accepted: a frame position needs at most 20 digits, and a
+# longer field is refused by length before int() parses it.
+_MAX_FIELD = 32
 
 
 @dataclass(frozen=True)
@@ -52,11 +55,21 @@ def read_sidecar(source: Iterable[str]) -> list[SidecarRecord]:
     """Parse and validate a sidecar CSV.
 
     Raises MalformedRow for schema violations (bad header, wrong field
-    count, non-integer values, flags outside {0, 1}) and NonMonotonicIndex
-    when row order breaks the strictly-increasing-input / consecutive-output
-    invariants.
+    count, non-integer or overlong values, flags outside {0, 1}) and for
+    text that cannot be decoded or split into CSV rows, and
+    NonMonotonicIndex when row order breaks the strictly-increasing-input /
+    consecutive-output invariants.
     """
-    reader = csv.reader(source)
+    try:
+        return _read_records(csv.reader(source))
+    except UnicodeDecodeError:
+        # A text file decodes lazily, as rows are pulled.
+        raise MalformedRow("sidecar is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise MalformedRow(str(exc)) from None
+
+
+def _read_records(reader) -> list[SidecarRecord]:
     try:
         header = next(reader)
     except StopIteration:
@@ -71,6 +84,11 @@ def read_sidecar(source: Iterable[str]) -> list[SidecarRecord]:
             continue
         if len(row) != 3:
             raise MalformedRow(f"row {row_number}: expected 3 fields, got {len(row)}")
+        for name, field in zip(FIELDNAMES, row):
+            if len(field) > _MAX_FIELD:
+                raise MalformedRow(
+                    f"row {row_number}: {name} is too long ({len(field)} characters)"
+                )
         try:
             input_frame, output_frame, flag = (int(field) for field in row)
         except ValueError:

@@ -1,3 +1,4 @@
+import functools
 import gzip
 import io
 import json
@@ -7,12 +8,14 @@ import shlex
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from motionsieve import (
     MotionConfig,
@@ -497,6 +500,157 @@ def test_stats_file_mode_sidecar_mismatch(tmp_path):
     )
     assert code == 1
     assert err.startswith("error: SidecarMismatch:")
+
+
+def _compressed_pair(tmp_path):
+    """The square clip and the prefix of its compressed .y4m and .csv."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    prefix = os.path.join(tmp_path, "comp")
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", prefix,
+         "--min-motion-pixels", "1"]
+    )
+    assert code == 0, err
+    return src, prefix
+
+
+def _append_undecodable_row(path):
+    with open(path, "ab") as fh:
+        fh.write(b"\xff,0,1\n")
+
+
+def test_reconstruct_undecodable_sidecar(tmp_path):
+    _, prefix = _compressed_pair(tmp_path)
+    _append_undecodable_row(prefix + ".csv")
+    code, _, err = run_cli(
+        ["reconstruct", "--input", prefix + ".y4m", "--sidecar", prefix + ".csv",
+         "--output", os.path.join(tmp_path, "r")]
+    )
+    assert code == 1
+    assert err == "error: MalformedRow: sidecar is not UTF-8 text\n"
+
+
+def test_stats_undecodable_sidecar(tmp_path):
+    src, prefix = _compressed_pair(tmp_path)
+    _append_undecodable_row(prefix + ".csv")
+    code, _, err = run_cli(
+        ["stats", "--raw", src, "--processed", prefix + ".y4m",
+         "--sidecar", prefix + ".csv"]
+    )
+    assert code == 1
+    assert err == "error: MalformedRow: sidecar is not UTF-8 text\n"
+
+
+def test_compress_undecodable_config(tmp_path):
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    config_path = os.path.join(tmp_path, "bad.conf")
+    with open(config_path, "wb") as fh:
+        fh.write(b"threshold = 2\xff5\n")
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", os.path.join(tmp_path, "o"),
+         "--config", config_path]
+    )
+    assert code == 2
+    assert err == (
+        f"error: InvalidArgument: config file is not UTF-8 text: {config_path}\n"
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_inputs():
+    """A clip, a config file, and the clip's compressed video and sidecar,
+    as bytes keyed by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, prefix = _compressed_pair(tmp)
+        paths = {
+            "clip.y4m": src, "comp.y4m": prefix + ".y4m", "comp.csv": prefix + ".csv"
+        }
+        inputs = {}
+        for name, path in paths.items():
+            with open(path, "rb") as fh:
+                inputs[name] = fh.read()
+    inputs["motion.cfg"] = (
+        b"# motion\nthreshold = 20\ndownscale = 2\nbuffer = 1\n"
+        b"min_motion_pixels = 1\nqueue_capacity = 2\n"
+    )
+    return inputs
+
+
+# A command and the one input file that gets mutated.
+_MUTATION_TARGETS = (
+    ("compress", "clip.y4m"),
+    ("compress", "motion.cfg"),
+    ("reconstruct", "comp.y4m"),
+    ("reconstruct", "comp.csv"),
+    ("stats", "comp.y4m"),
+    ("stats", "comp.csv"),
+)
+
+
+def _mutate(blob, kind, position, value):
+    if kind == "truncate":
+        return blob[: position % (len(blob) + 1)]
+    if kind == "insert":
+        at = position % (len(blob) + 1)
+        return blob[:at] + bytes([value]) + blob[at:]
+    if kind == "flip":
+        at = position % len(blob)
+        return blob[:at] + bytes([blob[at] ^ value]) + blob[at + 1:]
+    lines = blob.splitlines(keepends=True)
+    at = position % len(lines)
+    return b"".join(lines[: at + 1] + lines[at:])
+
+
+def _mutation_argv(command, folder, out):
+    def path(name):
+        return os.path.join(folder, name)
+
+    if command == "compress":
+        return ["compress", "--input", path("clip.y4m"),
+                "--config", path("motion.cfg"), "--output", out]
+    if command == "reconstruct":
+        return ["reconstruct", "--input", path("comp.y4m"),
+                "--sidecar", path("comp.csv"), "--output", out]
+    return ["stats", "--raw", path("clip.y4m"), "--processed", path("comp.y4m"),
+            "--sidecar", path("comp.csv")]
+
+
+@settings(max_examples=40)
+@given(
+    target=st.sampled_from(_MUTATION_TARGETS),
+    kind=st.sampled_from(["truncate", "flip", "insert", "repeat-line"]),
+    position=st.integers(0, 1 << 16),
+    value=st.integers(1, 255),
+)
+@example(target=("reconstruct", "comp.csv"), kind="insert", position=0, value=0xFF)
+@example(target=("stats", "comp.csv"), kind="insert", position=0, value=0xFF)
+@example(target=("compress", "motion.cfg"), kind="insert", position=0, value=0xFF)
+def test_mutated_input_keeps_the_error_contract(target, kind, position, value):
+    """One mutation of one valid input file never escapes main(): a failure
+    is one ``error: `` line on stderr and leaves only *.partial outputs."""
+    command, mutated = target
+    with tempfile.TemporaryDirectory() as folder:
+        for name, blob in _valid_inputs().items():
+            if name == mutated:
+                blob = _mutate(blob, kind, position, value)
+            with open(os.path.join(folder, name), "wb") as fh:
+                fh.write(blob)
+        out_dir = os.path.join(folder, "out")
+        os.mkdir(out_dir)
+        code, _, err = run_cli(
+            _mutation_argv(command, folder, os.path.join(out_dir, "o"))
+        )
+        left = os.listdir(out_dir)
+    if code == 0:
+        assert err == ""
+        assert not [name for name in left if name.endswith(".partial")]
+    else:
+        assert code in (1, 2)
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith("error: "), err
+        assert all(name.endswith(".partial") for name in left), left
 
 
 def test_stats_pixel_change(tmp_path):

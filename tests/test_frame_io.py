@@ -109,6 +109,12 @@ def test_parse_header_malformed(text):
         parse_y4m_header(header_stream(text))
 
 
+def test_parse_header_reports_an_overlong_line():
+    text = "YUV4MPEG2 W" + "9" * 5000 + " H4\n"
+    with pytest.raises(MalformedHeader, match="header line is longer than 4096 bytes"):
+        parse_y4m_header(header_stream(text))
+
+
 class _SmallReadsOnly(io.BytesIO):
     """Stream that fails the test if anyone asks it for a large payload."""
 
@@ -202,6 +208,96 @@ def test_writer_rejects_mismatched_frame():
 def test_frame_payload_length_validated():
     with pytest.raises(ValueError):
         Frame(0, 4, 4, PixelFormat.GRAY8, b"\x00" * 15)
+
+
+def _read_only(array):
+    array = np.array(array, dtype=np.uint8)
+    array.flags.writeable = False
+    return array
+
+
+def test_frame_from_read_only_view_equals_frame_from_bytes():
+    pixels = _read_only(np.random.default_rng(3).integers(0, 256, 36))
+    from_bytes = Frame(7, 6, 4, PixelFormat.YUV420, pixels.tobytes())
+    for data in (memoryview(pixels), pixels):
+        from_view = Frame(7, 6, 4, PixelFormat.YUV420, data)
+        assert from_view == from_bytes
+        assert from_bytes == from_view
+        assert hash(from_view) == hash(from_bytes)
+        assert isinstance(from_view.data, memoryview)
+        assert len(from_view.data) == 36
+        assert from_view.data == pixels.tobytes()
+    other = Frame(7, 6, 4, PixelFormat.YUV420, memoryview(_read_only(pixels ^ 1)))
+    assert other != from_bytes
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bytearray(16),
+        lambda: np.zeros(16, np.uint8),
+        lambda: memoryview(bytearray(16)),
+        lambda: memoryview(np.zeros(16, np.uint8)),
+    ],
+    ids=["bytearray", "array", "memoryview", "array-view"],
+)
+def test_frame_refuses_writable_buffers(make):
+    with pytest.raises(ValueError, match="read-only"):
+        Frame(0, 4, 4, PixelFormat.GRAY8, make())
+
+
+def test_frame_refuses_a_strided_view():
+    strided = _read_only(np.zeros((4, 8)))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        Frame(0, 4, 4, PixelFormat.GRAY8, memoryview(strided))
+
+
+def test_frame_measures_a_2d_view_in_bytes():
+    # Two rows of eight bytes: len() would say 2, the payload is 16 bytes.
+    pixels = _read_only(np.arange(16).reshape(2, 8))
+    frame = Frame(0, 4, 4, PixelFormat.GRAY8, memoryview(pixels))
+    assert len(frame.data) == 16
+    assert frame == Frame(0, 4, 4, PixelFormat.GRAY8, pixels.tobytes())
+    # Sixteen rows of two bytes: len() would say 16, the payload is 32 bytes.
+    with pytest.raises(ValueError, match="32 bytes"):
+        Frame(0, 4, 4, PixelFormat.GRAY8, memoryview(_read_only(np.zeros((16, 2)))))
+
+
+def _view_frames(frames):
+    return [
+        Frame(
+            f.index, f.width, f.height, f.pixel_format,
+            memoryview(_read_only(np.frombuffer(f.data, np.uint8))),
+        )
+        for f in frames
+    ]
+
+
+def test_y4m_writer_writes_a_view_byte_for_byte():
+    header = StreamHeader(6, 4, 30, 1, PixelFormat.YUV420)
+    rng = np.random.default_rng(11)
+    frames = [random_frame(rng, 6, 4, PixelFormat.YUV420, i) for i in range(3)]
+    sink = io.BytesIO()
+    writer = Y4MWriter(sink, header)
+    for frame in _view_frames(frames):
+        writer.write_frame(frame)
+    assert sink.getvalue() == frames_to_y4m(header, frames)
+
+
+def test_codec_encoder_writes_a_view_byte_for_byte(tmp_path):
+    header = StreamHeader(6, 4, 30, 1, PixelFormat.RGB24)
+    rng = np.random.default_rng(12)
+    frames = [random_frame(rng, 6, 4, PixelFormat.RGB24, i) for i in range(3)]
+    copy = (
+        "import shutil, sys; "
+        "shutil.copyfileobj(sys.stdin.buffer, open(sys.argv[1], 'wb'))"
+    )
+    template = f"{shlex.quote(sys.executable)} -c {shlex.quote(copy)} {{output}}"
+    out = tmp_path / "copy.y4m"
+    with CodecEncoder(template, out, header) as encoder:
+        for frame in _view_frames(frames):
+            encoder.write_frame(frame)
+    assert out.read_bytes() == frames_to_y4m(header, frames)
 
 
 @given(st.data())

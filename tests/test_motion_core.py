@@ -419,6 +419,20 @@ def test_apply_mask_matches_bruteforce(data):
     assert apply_mask(frame, mask).data == oracle_apply_mask(frame, mask.tolist())
 
 
+@pytest.mark.parametrize("pixel_format", list(PixelFormat))
+def test_apply_mask_returns_read_only_data(pixel_format):
+    rng = np.random.default_rng(17)
+    frame = random_frame(rng, 10, 6, pixel_format)
+    grid = rng.integers(0, 2, mask_grid_shape(10, 6, 2)).astype(bool)
+    out = apply_mask(frame, grid, 2)
+    assert out.data.readonly
+    assert len(out.data) == len(frame.data)
+    with pytest.raises(TypeError):
+        out.data[0] = 1
+    full = np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1)[:6, :10]
+    assert out.data == oracle_apply_mask(frame, full.tolist())
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_apply_mask_yuv_chroma_kept_from_each_luma_site(seed):
     """Chroma cells kept through exactly one luma site, for each of the

@@ -63,6 +63,34 @@ def test_read_rejects_bad_values(row):
         read_sidecar(io.StringIO(HEADER + row + "\n"))
 
 
+@pytest.mark.parametrize("column, name", [(0, "input_frame"), (1, "output_frame")])
+def test_read_names_an_overlong_field(column, name):
+    # int() would refuse 5000 digits as if they were not a number at all.
+    fields = ["0", "0", "1"]
+    fields[column] = "9" * 5000
+    row = ",".join(fields)
+    message = rf"row 1: {name} is too long \(5000 characters\)"
+    with pytest.raises(MalformedRow, match=message):
+        read_sidecar(io.StringIO(HEADER + row + "\n"))
+
+
+def test_read_accepts_a_20_digit_position():
+    row = f"{10**19},0,1\n"
+    assert read_sidecar(io.StringIO(HEADER + row)) == [SidecarRecord(10**19, 0, True)]
+
+
+def test_read_rejects_undecodable_text():
+    source = io.TextIOWrapper(io.BytesIO(HEADER.encode() + b"0,0,\xff\n"), "utf-8")
+    with pytest.raises(MalformedRow, match="not UTF-8"):
+        read_sidecar(source)
+
+
+def test_read_reports_csv_errors_as_malformed_rows():
+    # One field past the csv module's 128 KiB field limit.
+    with pytest.raises(MalformedRow, match="field limit"):
+        read_sidecar(io.StringIO(HEADER + "1" * 200_000 + ",0,1\n"))
+
+
 def test_read_rejects_negative_input():
     with pytest.raises(MalformedRow):
         read_sidecar(io.StringIO(HEADER + "-1,0,1\n"))
