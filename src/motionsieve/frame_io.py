@@ -174,9 +174,7 @@ def parse_y4m_header(stream: BinaryIO) -> StreamHeader:
     families.  A missing F tag defaults to 30:1, a missing C tag to the
     conventional 4:2:0.
     """
-    line = stream.readline(_MAX_LINE)
-    if len(line) == _MAX_LINE and not line.endswith(b"\n"):
-        raise MalformedHeader(f"header line is longer than {_MAX_LINE} bytes")
+    line = _read_line(stream, "header", MalformedHeader)
     tokens = line.decode("ascii", "replace").rstrip("\n").split(" ")
     if tokens[0] != "YUV4MPEG2" or len(tokens) < 2:
         raise MalformedHeader("missing YUV4MPEG2 signature")
@@ -315,9 +313,20 @@ class Y4MReader(_FrameReader):
         return _read_exact(self._stream, self.header.frame_size())
 
 
+def _read_line(
+    stream: BinaryIO, name: str, error: type[MotionSieveError]
+) -> bytes:
+    """One line of at most 4096 bytes, b"" at end of stream; a longer line
+    raises ``error`` naming it as ``name``."""
+    line = stream.readline(_MAX_LINE)
+    if len(line) == _MAX_LINE and not line.endswith(b"\n"):
+        raise error(f"{name} line is longer than {_MAX_LINE} bytes")
+    return line
+
+
 def _read_frame_marker(stream: BinaryIO) -> bool:
     """Consume one FRAME marker line; False at end of stream."""
-    line = stream.readline(_MAX_LINE)
+    line = _read_line(stream, "FRAME marker", MalformedFrameMarker)
     if line == b"":
         return False
     # Frame markers may carry their own parameters: "FRAME Ixyz\n".
@@ -336,7 +345,8 @@ class Y4MWriter:
         self._write(serialize_y4m_header(header))
 
     def write_frame(self, frame: Frame) -> None:
-        _check_frame_shape(self.header, frame)
+        header = self.header
+        check_geometry(frame, (header.width, header.height, header.pixel_format))
         self._write(b"FRAME\n")
         self._write(frame.data)
 
@@ -365,15 +375,15 @@ class Y4MWriter:
         self.close()
 
 
-def _check_frame_shape(header: StreamHeader, frame: Frame) -> None:
-    if (frame.width, frame.height, frame.pixel_format) != (
-        header.width,
-        header.height,
-        header.pixel_format,
-    ):
+def check_geometry(frame: Frame, stream: tuple[int, int, PixelFormat]) -> None:
+    """Raise DimensionMismatch, naming the frame, unless ``frame`` has the
+    stream's (width, height, pixel_format)."""
+    if (frame.width, frame.height, frame.pixel_format) != stream:
+        width, height, pixel_format = stream
         raise DimensionMismatch(
-            f"frame is {frame.width}x{frame.height} {frame.pixel_format.value}, "
-            f"stream is {header.width}x{header.height} {header.pixel_format.value}"
+            f"frame {frame.index} is {frame.width}x{frame.height} "
+            f"{frame.pixel_format.value}, stream is {width}x{height} "
+            f"{pixel_format.value}"
         )
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch
-from .frame_io import Frame, PixelFormat
+from .frame_io import Frame, PixelFormat, check_geometry
 from .sidecar import SidecarRecord
 
 
@@ -312,29 +312,41 @@ class OutcomeKind(Enum):
 @dataclass(frozen=True)
 class AnalysisOutcome:
     """Verdict for one frame.  ``frame`` and ``record`` are None for drops;
-    otherwise ``frame`` is what to emit (already masked when kind is
-    MASKED) and ``record`` is its sidecar row."""
+    otherwise ``frame`` is what to emit (already masked unless the record
+    marks a full frame) and ``record`` is its sidecar row."""
 
-    kind: OutcomeKind
     frame: Frame | None
     record: SidecarRecord | None
 
+    @property
+    def kind(self) -> OutcomeKind:
+        if self.record is None:
+            return OutcomeKind.DROP
+        if self.record.full_frame:
+            return OutcomeKind.FULL_FRAME
+        return OutcomeKind.MASKED
 
-_DROP = AnalysisOutcome(OutcomeKind.DROP, None, None)
+
+_DROP = AnalysisOutcome(None, None)
 
 
 @dataclass(frozen=True, eq=False)
 class AnalysisState:
-    """Carry-over between frames.  A fresh instance means "no frame seen";
-    dimensions are locked in by the first frame."""
+    """Carry-over between frames; a fresh instance means "no frame seen".
 
-    width: int | None = None
-    height: int | None = None
-    pixel_format: PixelFormat | None = None
+    geometry: the first frame's (width, height, pixel_format), which every
+        later frame must match; None before the first frame.
+    prev_gray: the previous input frame's downscaled luma, dropped or not.
+    out_index: output position the next emitted frame takes.
+    since_keyframe: frames emitted since the last full frame of the current
+        motion run, or None outside a run.  The first frame starts no run,
+        and a drop ends one.
+    """
+
+    geometry: tuple[int, int, PixelFormat] | None = None
     prev_gray: np.ndarray | None = None
     out_index: int = 0
-    frames_since_keyframe: int = 0
-    in_motion_sequence: bool = False
+    since_keyframe: int | None = None
 
 
 def analyse(
@@ -344,64 +356,32 @@ def analyse(
 
     The comparison baseline is always the previous input frame, dropped or
     not, so a creeping change can never hide below threshold forever
-    against a stale reference.  The first frame is always emitted whole but
-    does not start a motion run; within a run, every keyframe_interval-th
-    emitted frame is promoted to a full frame so reconstruction references
-    stay fresh.
+    against a stale reference.  A frame is full when it opens the stream
+    or a motion run, or when it is the keyframe_interval-th emitted frame
+    since the run's last full frame, so reconstruction references stay
+    fresh; every other emitted frame is masked.
     """
-    if state.width is None:
-        state = replace(
-            state,
-            width=frame.width,
-            height=frame.height,
-            pixel_format=frame.pixel_format,
-        )
-    elif (frame.width, frame.height, frame.pixel_format) != (
-        state.width,
-        state.height,
-        state.pixel_format,
-    ):
-        raise DimensionMismatch(
-            f"frame {frame.index} is {frame.width}x{frame.height} "
-            f"{frame.pixel_format.value}, stream started as "
-            f"{state.width}x{state.height} {state.pixel_format.value}"
-        )
-
+    geometry = state.geometry or (frame.width, frame.height, frame.pixel_format)
+    check_geometry(frame, geometry)
     gray = downscale(to_grayscale(frame), config.downscale)
 
-    if state.prev_gray is None:
-        record = SidecarRecord(frame.index, state.out_index, True)
-        outcome = AnalysisOutcome(OutcomeKind.FULL_FRAME, frame, record)
-        new_state = replace(
-            state,
-            prev_gray=gray,
-            out_index=state.out_index + 1,
-            frames_since_keyframe=0,
+    mask = None
+    if state.prev_gray is not None:
+        mask = dilate(
+            threshold_mask(abs_diff(state.prev_gray, gray), config.threshold),
+            config.buffer_radius,
         )
-        return outcome, new_state
+        if np.count_nonzero(mask) < config.min_motion_pixels:
+            return _DROP, replace(state, prev_gray=gray, since_keyframe=None)
 
-    mask = dilate(
-        threshold_mask(abs_diff(state.prev_gray, gray), config.threshold),
-        config.buffer_radius,
-    )
-    if np.count_nonzero(mask) < config.min_motion_pixels:
-        return _DROP, replace(state, prev_gray=gray, in_motion_sequence=False)
-
-    since_keyframe = state.frames_since_keyframe + 1
-    if not state.in_motion_sequence or since_keyframe >= config.keyframe_interval:
-        record = SidecarRecord(frame.index, state.out_index, True)
-        outcome = AnalysisOutcome(OutcomeKind.FULL_FRAME, frame, record)
-        since_keyframe = 0
+    since = None if state.since_keyframe is None else state.since_keyframe + 1
+    full = since is None or since >= config.keyframe_interval
+    record = SidecarRecord(frame.index, state.out_index, full)
+    if full:
+        # Every full frame but the stream's first opens or renews a run.
+        since = None if mask is None else 0
     else:
-        record = SidecarRecord(frame.index, state.out_index, False)
-        outcome = AnalysisOutcome(
-            OutcomeKind.MASKED, apply_mask(frame, mask, config.downscale), record
-        )
-    new_state = replace(
-        state,
-        prev_gray=gray,
-        out_index=state.out_index + 1,
-        frames_since_keyframe=since_keyframe,
-        in_motion_sequence=True,
+        frame = apply_mask(frame, mask, config.downscale)
+    return AnalysisOutcome(frame, record), AnalysisState(
+        geometry, gray, state.out_index + 1, since
     )
-    return outcome, new_state

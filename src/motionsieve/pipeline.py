@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import StageFailure
 from .frame_io import Frame
-from .motion_core import AnalysisState, MotionConfig, OutcomeKind, analyse
+from .motion_core import AnalysisState, MotionConfig, analyse
 from .sidecar import SidecarRecord
 from .stats import CompressionStats
 
@@ -65,7 +65,7 @@ def _kept(frames: Iterable[Frame], config: MotionConfig) -> Iterator:
     state = AnalysisState()
     for frame in frames:
         outcome, state = analyse(state, config, frame)
-        if outcome.kind is not OutcomeKind.DROP:
+        if outcome.record is not None:
             yield outcome
 
 

@@ -48,7 +48,14 @@ from oracles import (
     oracle_upscale,
     simulate_compress,
 )
-from synth import frames_to_y4m, gray_frame, moving_square_video, random_video
+from synth import (
+    frame_from_luma,
+    frames_to_y4m,
+    gray_frame,
+    moving_square_luma,
+    moving_square_video,
+    random_video,
+)
 
 GZ_DECODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec decode {{input}}"
 GZ_ENCODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec encode {{output}}"
@@ -252,6 +259,38 @@ def test_mask_correctness_at_each_factor(factor):
             width, height, 12, pixel_format, size=7, step=3
         )
         assert _compress_matches_oracle(frames, config) > 0, pixel_format
+
+
+@pytest.mark.parametrize("keyframe_interval", range(1, 9))
+def test_keyframe_cadence_matches_oracle(keyframe_interval):
+    """reference_compress equals the oracle simulation at each keyframe
+    interval, on a clip whose motion runs are cut by still frames and on
+    random videos and configurations."""
+    config = MotionConfig(threshold=20, downscale=2, buffer_radius=1,
+                          keyframe_interval=keyframe_interval,
+                          min_motion_pixels=1)
+    patterns = moving_square_luma(24, 16, 12, size=5, step=2)
+    # A repeated pattern is a still frame: it drops and ends the run, and
+    # the next moving frame opens a new one.
+    order = [0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 9, 9, 10, 11, 11]
+    frames = [
+        frame_from_luma(patterns[p], PixelFormat.YUV420, i)
+        for i, p in enumerate(order)
+    ]
+    masked = _compress_matches_oracle(frames, config)
+    assert (masked > 0) == (keyframe_interval > 1)
+
+    rng = np.random.default_rng(keyframe_interval)
+    for _ in range(3):
+        _, frames = random_video(int(rng.integers(0, 2**31)), 24, 24)
+        config = MotionConfig(
+            threshold=int(rng.integers(1, 61)),
+            downscale=int(rng.integers(1, 5)),
+            buffer_radius=int(rng.integers(0, 4)),
+            keyframe_interval=keyframe_interval,
+            min_motion_pixels=int(rng.integers(1, 31)),
+        )
+        _compress_matches_oracle(frames, config)
 
 
 def test_masking_builds_no_full_resolution_mask(monkeypatch):

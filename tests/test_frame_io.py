@@ -182,6 +182,17 @@ def test_read_bad_marker():
         Y4MReader(io.BytesIO(blob)).read()
 
 
+def test_overlong_frame_marker_is_named_as_too_long(tmp_path):
+    blob = b"YUV4MPEG2 W2 H2 Cmono\nFRAME " + b"X" * 5000 + b"\n" + b"\x00" * 4
+    message = "FRAME marker line is longer than 4096 bytes"
+    with pytest.raises(MalformedFrameMarker, match=message):
+        Y4MReader(io.BytesIO(blob)).read()
+    path = tmp_path / "long_marker.y4m"
+    path.write_bytes(blob)
+    with pytest.raises(MalformedFrameMarker, match=message):
+        count_y4m_frames(path)
+
+
 def test_read_marker_with_parameters():
     header = StreamHeader(2, 2, 30, 1, PixelFormat.GRAY8)
     blob = serialize_y4m_header(header) + b"FRAME Ixyz\n" + b"\x07" * 4
@@ -202,6 +213,15 @@ def test_writer_rejects_mismatched_frame():
     writer = Y4MWriter(io.BytesIO(), header)
     wrong = gray_frame(np.zeros((2, 4), dtype=np.uint8))
     with pytest.raises(DimensionMismatch):
+        writer.write_frame(wrong)
+
+
+def test_writer_mismatch_names_the_frame():
+    header = StreamHeader(2, 2, 30, 1, PixelFormat.GRAY8)
+    writer = Y4MWriter(io.BytesIO(), header)
+    wrong = gray_frame(np.zeros((2, 4), dtype=np.uint8), 7)
+    message = "frame 7 is 4x2 gray8, stream is 2x2 gray8"
+    with pytest.raises(DimensionMismatch, match=message):
         writer.write_frame(wrong)
 
 

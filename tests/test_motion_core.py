@@ -667,6 +667,17 @@ def test_analyse_rejects_dimension_change():
         analyse(state, config, frame)
 
 
+def test_analyse_mismatch_names_the_frame():
+    config = MotionConfig()
+    _, state = analyse(
+        AnalysisState(), config, gray_frame(np.zeros((2, 2), np.uint8), 0)
+    )
+    wrong = gray_frame(np.zeros((2, 4), np.uint8), 5)
+    message = "frame 5 is 4x2 gray8, stream is 2x2 gray8"
+    with pytest.raises(DimensionMismatch, match=message):
+        analyse(state, config, wrong)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12))
 def test_analyse_drop_gate_matches_mask_population(seed, threshold, min_pixels):
     """Second frame of a random pair drops exactly when the dilated mask
