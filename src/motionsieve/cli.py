@@ -34,7 +34,12 @@ from .frame_io import (
     count_y4m_frames,
 )
 from .motion_core import MotionConfig
-from .pipeline import DEFAULT_QUEUE_CAPACITY, PipelineReport, run_pipeline
+from .pipeline import (
+    DEFAULT_QUEUE_CAPACITY,
+    QUEUE_BYTE_BUDGET,
+    PipelineReport,
+    run_pipeline,
+)
 from .reconstruct import reconstruct_files
 from .sidecar import SidecarWriter, read_sidecar
 from .stats import (
@@ -449,7 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
     group.add_argument(
         "--queue-capacity", type=int,
-        help=f"pipeline stage queue depth (default {DEFAULT_QUEUE_CAPACITY})",
+        help=(
+            "most frames each queue between pipeline stages holds; a queue "
+            f"also holds at most {QUEUE_BYTE_BUDGET / 1e6:.1f} MB of frames, "
+            "but always takes one frame when empty "
+            f"(default {DEFAULT_QUEUE_CAPACITY})"
+        ),
     )
     group.add_argument(
         "--config",

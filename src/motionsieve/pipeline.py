@@ -1,12 +1,13 @@
 """Three-stage concurrent compression pipeline.
 
-Reader, analysis, and writer run on their own threads, joined by bounded
-FIFO queues so a slow stage applies backpressure instead of ballooning
-memory.  End of input is signalled by a sentinel that cascades down the
-queues.  On any stage error the others are cancelled promptly, the first
-error wins, and run_pipeline raises StageFailure wrapping it.
+Reader, analysis, and writer run on their own threads, joined by FIFO
+queues bounded in frames and in bytes, so a slow stage applies
+backpressure instead of ballooning memory, whatever the frame size.  End
+of input is signalled by a sentinel that cascades down the queues.  On
+any stage error the others are cancelled promptly, the first error wins,
+and run_pipeline raises StageFailure wrapping it.
 
-Queue capacity affects scheduling only: for any capacity >= 1 the emitted
+Queue bounds affect scheduling only: for any capacity >= 1 the emitted
 video and sidecar are byte-identical to the single-threaded
 reference_compress fold, which exists as the plain-English executable
 answer to "what is this pipeline supposed to produce".
@@ -22,16 +23,24 @@ from typing import Iterable, Iterator
 
 from .errors import StageFailure
 from .frame_io import Frame
-from .motion_core import AnalysisState, MotionConfig, analyse
+from .motion_core import AnalysisOutcome, AnalysisState, MotionConfig, analyse
 from .sidecar import SidecarRecord
 from .stats import CompressionStats
 
-# Frames each inter-stage queue holds.  A 1080p YUV420 frame is ~3.1 MB,
-# so the two queues can hold ~50 MB.  With the 1 MiB codec pipe the read
-# stage keeps analysis fed at this depth: against depth 64, traced
-# analysis waits the same, fps is within run-to-run spread, and peak RSS
-# is 100 MB instead of 233 MB on busy-1080p (BENCH_8.json).
+# Frames each inter-stage queue holds at most.  Frames over an eighth of
+# the byte budget below, such as 1080p, meet the budget first; smaller
+# ones meet this cap.  Depth beyond it buys small frames only memory: on
+# 720p GRAY8, where the budget alone allows 10 frames a queue, the cap
+# kept peak RSS 3-4 MB lower at the same fps (BENCH_14.json).
 DEFAULT_QUEUE_CAPACITY = 8
+# Bytes of frame payload each inter-stage queue holds before it stops
+# admitting more; an empty queue admits a frame of any size.  Three 1080p
+# YUV420 frames, from a sweep of one to four against depth 8 alone
+# (BENCH_14.json): every budget kept busy-1080p and static-1080p fps and
+# CPU per frame within run-to-run spread, but below three the traced time
+# analysis waits for input rose past the spread on busy-1080p.  Three cut
+# busy-1080p peak RSS from 95 to 72 MB.
+QUEUE_BYTE_BUDGET = 3 * 1920 * 1080 * 3 // 2
 
 _SENTINEL = object()
 _POLL_SECONDS = 0.05
@@ -40,6 +49,39 @@ _SHUTDOWN_SECONDS = 1.0
 
 class _Cancelled(Exception):
     """Internal: another stage failed, unwind quietly."""
+
+
+def _payload(item) -> int:
+    """Bytes of frame payload a queued item holds: a frame's, an outcome's
+    frame's, and none for the end-of-input sentinel."""
+    frame = item.frame if isinstance(item, AnalysisOutcome) else item
+    return len(frame.data) if isinstance(frame, Frame) else 0
+
+
+class _PayloadQueue(queue.Queue):
+    """A FIFO that is full at ``maxsize`` items or at QUEUE_BYTE_BUDGET
+    bytes of frame payload, whichever comes first.  An empty queue always
+    admits one item, so a frame larger than the budget still moves."""
+
+    def _init(self, maxsize):
+        super()._init(maxsize)
+        self.payload = 0
+
+    def _qsize(self):
+        # Queue.put waits while this is >= maxsize and Queue.get while it
+        # is 0; a queue over budget is never empty, so it reads as full.
+        if self.payload >= QUEUE_BYTE_BUDGET:
+            return self.maxsize
+        return len(self.queue)
+
+    def _put(self, item):
+        self.payload += _payload(item)
+        super()._put(item)
+
+    def _get(self):
+        item = super()._get()
+        self.payload -= _payload(item)
+        return item
 
 
 @dataclass(frozen=True)
@@ -91,17 +133,21 @@ def run_pipeline(
     write_row(record) method; neither is closed here, the caller owns both.
     Raises StageFailure if any stage fails; sinks may then hold a prefix of
     the output (whole frames and whole rows only, never a torn record).
+    On an interrupt, such as Ctrl-C, the interrupt is re-raised without
+    waiting for a stage inside ``source`` or a sink: only the caller, by
+    aborting them, can free such a stage.
     """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be >= 1")
 
-    frame_queue: queue.Queue = queue.Queue(queue_capacity)
-    outcome_queue: queue.Queue = queue.Queue(queue_capacity)
+    frame_queue = _PayloadQueue(queue_capacity)
+    outcome_queue = _PayloadQueue(queue_capacity)
     stop = threading.Event()
     failure_lock = threading.Lock()
     failures: list[BaseException] = []
     results: dict[str, int] = {}
-    finished: list[threading.Event] = []
+    finished: dict[str, threading.Event] = {}
+    in_caller: set[str] = set()
 
     def fail(exc: BaseException) -> None:
         with failure_lock:
@@ -119,6 +165,28 @@ def run_pipeline(
                 continue
         raise _Cancelled
 
+    def caller(name: str, call, *args):
+        """``call(*args)``, a call into the caller's source or sinks, made
+        only while the run is live; stage ``name`` is marked as inside the
+        caller's code until it returns."""
+        in_caller.add(name)
+        try:
+            if stop.is_set():
+                raise _Cancelled
+            return call(*args)
+        finally:
+            in_caller.discard(name)
+
+    def pull(items):
+        """``items``, each next() made through ``caller``."""
+        items = iter(items)
+        while (item := caller("read", next, items, _SENTINEL)) is not _SENTINEL:
+            yield item
+
+    def emit(outcome) -> None:
+        video_sink.write_frame(outcome.frame)
+        sidecar_sink.write_row(outcome.record)
+
     def drain(q: queue.Queue):
         while (item := poll(q.get)) is not _SENTINEL:
             yield item
@@ -133,8 +201,7 @@ def run_pipeline(
     def write(outcomes) -> int:
         count = 0
         for count, outcome in enumerate(outcomes, 1):
-            video_sink.write_frame(outcome.frame)
-            sidecar_sink.write_row(outcome.record)
+            caller("write", emit, outcome)
         return count
 
     def stage(name: str, body, *args) -> None:
@@ -154,23 +221,26 @@ def run_pipeline(
                 done.set()
 
         threading.Thread(target=run, name=f"motionsieve-{name}").start()
-        finished.append(done)
+        finished[name] = done
 
     started = time.monotonic()
     try:
-        stage("read", pump, source, frame_queue)
+        stage("read", pump, pull(source), frame_queue)
         stage("analysis", pump, _kept(drain(frame_queue), config), outcome_queue)
         stage("write", write, drain(outcome_queue))
-        for done in finished:
+        for done in finished.values():
             done.wait()
     except BaseException:
         # Ctrl-C lands here, in the calling thread: cancel the stages so the
-        # process can exit, but never wait long on a source stuck in next():
-        # every stage shares one deadline.
+        # process can exit.  A stage inside the caller's code, such as a
+        # next() on a stalled decoder, can end only once the caller aborts
+        # its streams, after this returns, so it is not waited for.  Read
+        # after stop is set, in_caller misses no stage that could still
+        # enter such a call; the rest share one deadline.
         stop.set()
         deadline = time.monotonic() + _SHUTDOWN_SECONDS
-        for done in finished:
-            done.wait(max(0.0, deadline - time.monotonic()))
+        for name in [name for name in finished if name not in in_caller]:
+            finished[name].wait(max(0.0, deadline - time.monotonic()))
         raise
     wall_time = max(time.monotonic() - started, 1e-9)
 

@@ -983,7 +983,8 @@ def test_signal_stops_run_on_stalled_codec(tmp_path, stalled, sig, status):
 
 def _terminate_when(ready, proc, tmp_path):
     """SIGTERM ``proc`` once ``ready()`` holds and check that it exits 143
-    within 3 s, with one error line and only *.partial outputs."""
+    within 3 s, with one error line and only *.partial outputs.  Returns
+    the seconds from the signal to the exit."""
     deadline = time.monotonic() + 30
     while not ready():
         assert proc.poll() is None, proc.stderr.read()
@@ -1000,6 +1001,7 @@ def _terminate_when(ready, proc, tmp_path):
     assert elapsed < 3.0
     left = [name for name in os.listdir(tmp_path) if name.startswith("out.")]
     assert left and all(name.endswith(".partial") for name in left), left
+    return elapsed
 
 
 def _kill_groups(*groups):
@@ -1033,6 +1035,33 @@ def test_sigterm_ends_run_on_stalled_stdin(tmp_path):
         _kill_groups(proc.pid)
         proc.wait()
         proc.stdin.close()
+        proc.stderr.close()
+
+
+def test_sigterm_on_stalled_decoder_exits_at_once(tmp_path):
+    """SIGTERM on a run whose read stage waits on a stalled decoder exits
+    well within a second: nothing waits for a stage that only the
+    decoder's abort can free."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    header, _ = write_square_y4m(src, count=20, width=320, height=240)
+    prefix = os.path.join(tmp_path, "out")
+    size = len(serialize_y4m_header(header)) + 2 * (6 + header.frame_size())
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "motionsieve.cli", "compress", "--input", src,
+         "--output", prefix,
+         "--decode-cmd", f"sh -c 'head -c {size} {{input}}; exec sleep 30'"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        elapsed = _terminate_when(
+            lambda: os.path.exists(prefix + ".csv.partial"), proc, tmp_path
+        )
+        assert elapsed < 0.5
+    finally:
+        _kill_groups(proc.pid)
+        proc.wait()
         proc.stderr.close()
 
 

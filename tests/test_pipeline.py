@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -343,9 +344,10 @@ def test_ctrl_c_waits_once_for_all_stuck_stages():
         signal.signal(signal.SIGINT, previous)
 
 
-def _peak_traced_bytes(side, count, **kwargs):
+def _peak_traced_bytes(side, count, sink_seconds=0.005, **kwargs):
     """Peak memory traced while run_pipeline moves ``count`` fresh
-    side x side GRAY8 frames into a video sink that takes 5 ms a frame."""
+    side x side GRAY8 frames, from a plain generator with no header, into
+    a video sink that takes ``sink_seconds`` a frame."""
     import time
     import tracemalloc
 
@@ -360,7 +362,7 @@ def _peak_traced_bytes(side, count, **kwargs):
 
     class SlowSink:
         def write_frame(self, frame):
-            time.sleep(0.005)
+            time.sleep(sink_seconds)
 
         def write_row(self, record):
             pass
@@ -385,7 +387,7 @@ def test_queued_frames_bound_memory():
     grids and the dilated mask, each about a quarter frame at s = 2 (under
     1); the frame the writer is writing (1); and one frame of slack for the
     interpreter's own allocations, which are a small part of one 256 KiB
-    frame.  Measured: 21.9 frames at depth 8, 51 at depth 64.
+    frame.  Measured: 21.2 frames at depth 8, 48 at depth 64.
     """
     from motionsieve.pipeline import DEFAULT_QUEUE_CAPACITY
 
@@ -396,3 +398,42 @@ def test_queued_frames_bound_memory():
     # At depth 64 the whole stream piles up: the measurement sees queued
     # frames, so the bound above is not met by accident.
     assert _peak_traced_bytes(side, count, queue_capacity=64) > bound
+
+
+def test_byte_budget_bounds_memory_whatever_the_frame_size():
+    """Frames so large that the byte budget binds before the frame cap
+    keep memory within what the two queues may hold by bytes, plus the
+    c = 7 frames the stages hold (see test_queued_frames_bound_memory).
+
+    A queue admits while it holds under QUEUE_BYTE_BUDGET bytes, so it
+    holds at most the budget plus the one frame that crossed it.  The bound
+    depends on the frame size only through those frames.  Measured: 11.0
+    frames of 4 MiB against a bound of 13.4; 21 with queues capped by
+    frame count alone.
+    """
+    from motionsieve.pipeline import DEFAULT_QUEUE_CAPACITY, QUEUE_BYTE_BUDGET
+
+    side, count = 2048, 24
+    frame = side**2
+    bound = 2 * (QUEUE_BYTE_BUDGET + frame) + 7 * frame
+    assert QUEUE_BYTE_BUDGET + frame < DEFAULT_QUEUE_CAPACITY * frame
+    assert count * frame > bound
+    # The sink is the slowest stage, so both queues fill.
+    assert _peak_traced_bytes(side, count, sink_seconds=0.03) < bound
+
+
+def test_frames_larger_than_the_byte_budget_still_move():
+    """An empty queue admits one frame of any size, so a stream whose
+    every frame exceeds the byte budget runs to the end."""
+    from motionsieve import Frame, PixelFormat
+    from motionsieve.pipeline import QUEUE_BYTE_BUDGET
+
+    side = math.isqrt(QUEUE_BYTE_BUDGET) + 2
+    frames = [
+        Frame(i, side, side, PixelFormat.GRAY8, bytes([200 * (i % 2)]) * side**2)
+        for i in range(3)
+    ]
+    sink = _ExplodingSink(allow=len(frames))
+    report = run_pipeline(iter(frames), MotionConfig(), sink,
+                          SidecarWriter(io.StringIO()), queue_capacity=2)
+    assert (report.frames_in, report.frames_out, sink.writes) == (3, 3, 3)
