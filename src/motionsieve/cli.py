@@ -34,12 +34,7 @@ from .frame_io import (
     count_y4m_frames,
 )
 from .motion_core import MotionConfig
-from .pipeline import (
-    DEFAULT_QUEUE_CAPACITY,
-    QUEUE_BYTE_BUDGET,
-    PipelineReport,
-    run_pipeline,
-)
+from .pipeline import PipelineReport, run_pipeline
 from .reconstruct import reconstruct_files
 from .sidecar import SidecarWriter, read_sidecar
 from .stats import (
@@ -59,15 +54,19 @@ _MOTION_FLAGS = (
     ("min_motion_pixels", "min_motion_pixels", "minimum mask population to keep a frame"),
 )
 
-_CONFIG_KEYS = {flag for flag, _, _ in _MOTION_FLAGS} | {
-    "queue_capacity",
-    "decode_cmd",
-    "encode_cmd",
-}
+_CONFIG_KEYS = {flag for flag, _, _ in _MOTION_FLAGS} | {"decode_cmd", "encode_cmd"}
 
 
 class _UsageError(Exception):
     """Bad arguments or config; reported with exit status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors keep the one-line error contract
+    instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 class _Terminated(KeyboardInterrupt):
@@ -119,7 +118,7 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_motion(ns) -> tuple[MotionConfig, int, str | None, str | None]:
+def _resolve_motion(ns) -> tuple[MotionConfig, str | None, str | None]:
     """Merge flags over config-file values over defaults."""
     file_values = _load_config(ns.config) if getattr(ns, "config", None) else {}
 
@@ -137,18 +136,9 @@ def _resolve_motion(ns) -> tuple[MotionConfig, int, str | None, str | None]:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
-    capacity_value = pick("queue_capacity")
-    queue_capacity = (
-        _to_int("queue_capacity", capacity_value)
-        if capacity_value is not None
-        else DEFAULT_QUEUE_CAPACITY
-    )
-    if queue_capacity < 1:
-        raise _UsageError("queue_capacity must be >= 1")
-
     decode_cmd = _checked_template("decode", pick("decode_cmd"))
     encode_cmd = _checked_template("encode", pick("encode_cmd"))
-    return config, queue_capacity, decode_cmd, encode_cmd
+    return config, decode_cmd, encode_cmd
 
 
 def _checked_template(role: str, template: str | None) -> str | None:
@@ -245,7 +235,7 @@ def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]
     so it is never mistaken for a complete one.  Returns the run's report
     and the two final paths.
     """
-    config, queue_capacity, decode_cmd, encode_cmd = motion
+    config, decode_cmd, encode_cmd = motion
     paths = prefix + (".enc" if encode_cmd else ".y4m"), prefix + ".csv"
     video_partial, sidecar_partial = (path + ".partial" for path in paths)
     with ExitStack() as streams:
@@ -258,11 +248,7 @@ def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]
         sidecar_file = open(sidecar_partial, "w", encoding="utf-8", newline="")
         streams.enter_context(_owned(sidecar_file))
         report = run_pipeline(
-            source,
-            config,
-            video_sink,
-            SidecarWriter(sidecar_file),
-            queue_capacity=queue_capacity,
+            source, config, video_sink, SidecarWriter(sidecar_file)
         )
     for path in paths:
         os.replace(path + ".partial", path)
@@ -435,7 +421,7 @@ def cmd_bench(ns) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="motionsieve",
         description=(
             "Motion-gated video compression with sidecar-indexed "
@@ -452,15 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--" + flag.replace("_", "-"), type=int,
             help=f"{prose} (default {defaults[field]})",
         )
-    group.add_argument(
-        "--queue-capacity", type=int,
-        help=(
-            "most frames each queue between pipeline stages holds; a queue "
-            f"also holds at most {QUEUE_BYTE_BUDGET / 1e6:.1f} MB of frames, "
-            "but always takes one frame when empty "
-            f"(default {DEFAULT_QUEUE_CAPACITY})"
-        ),
-    )
     group.add_argument(
         "--config",
         help="key=value file mirroring these flags; explicit flags win",
@@ -568,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
     except _UsageError as exc:
         print(f"error: InvalidArgument: {exc}", file=sys.stderr)

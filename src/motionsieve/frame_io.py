@@ -290,12 +290,6 @@ class _FrameReader:
     def close(self) -> None:
         self._stream.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class Y4MReader(_FrameReader):
     """Sequential frame reader over a binary Y4M stream.
@@ -367,12 +361,6 @@ class Y4MWriter:
     def close(self) -> None:
         self.flush()
         self._stream.close()
-
-    def __enter__(self) -> "Y4MWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def check_geometry(frame: Frame, stream: tuple[int, int, PixelFormat]) -> None:

@@ -3,8 +3,8 @@
 Speaks the same child-process convention as any real codec command, so it
 slots straight into --decode-cmd / --encode-cmd:
 
-    encode:  y4mgz encode OUTPUT [--level N]    (Y4M on stdin -> gzip file)
-    decode:  y4mgz decode INPUT                 (gzip file -> Y4M on stdout)
+    encode:  y4mgz encode OUTPUT    (Y4M on stdin -> gzip file, level 1)
+    decode:  y4mgz decode INPUT     (gzip file -> Y4M on stdout)
 
 Useful for tests and for hosts without ffmpeg; a real deployment would
 point the templates at an actual video encoder instead.
@@ -28,16 +28,12 @@ def main(argv=None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
     encode = commands.add_parser("encode", help="Y4M on stdin -> gzip file")
     encode.add_argument("output", help="compressed file to write")
-    encode.add_argument(
-        "--level", type=int, default=1, choices=range(0, 10),
-        help="gzip compression level (default 1, favors speed)",
-    )
     decode = commands.add_parser("decode", help="gzip file -> Y4M on stdout")
     decode.add_argument("input", help="compressed file to read")
     args = parser.parse_args(argv)
 
     if args.command == "encode":
-        with gzip.open(args.output, "wb", compresslevel=args.level) as sink:
+        with gzip.open(args.output, "wb", compresslevel=1) as sink:
             shutil.copyfileobj(sys.stdin.buffer, sink, _CHUNK)
     else:
         try:

@@ -25,7 +25,6 @@ from .errors import StageFailure
 from .frame_io import Frame
 from .motion_core import AnalysisOutcome, AnalysisState, MotionConfig, analyse
 from .sidecar import SidecarRecord
-from .stats import CompressionStats
 
 # Frames each inter-stage queue holds at most.  Frames over an eighth of
 # the byte budget below, such as 1080p, meet the budget first; smaller
@@ -96,10 +95,6 @@ class PipelineReport:
     def processing_speed(self) -> float:
         """Frames read per second of wall time."""
         return self.frames_in / self.wall_time
-
-    @property
-    def stats(self) -> CompressionStats:
-        return CompressionStats(self.frames_in, self.frames_out)
 
 
 def _kept(frames: Iterable[Frame], config: MotionConfig) -> Iterator:

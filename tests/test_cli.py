@@ -137,7 +137,6 @@ _KNOB_VALUES = (
     ("buffer", 1),
     ("keyframe_interval", 3),
     ("min_motion_pixels", 200),
-    ("queue_capacity", 2),
 )
 
 
@@ -176,8 +175,7 @@ def test_config_key_matches_flag(tmp_path, spelling, value):
 
     from_file = outputs("file", ["--config", config_path])
     assert from_file == outputs("flag", [flag, str(value)])
-    if spelling.replace("-", "_") != "queue_capacity":
-        assert from_file != outputs("default", [])
+    assert from_file != outputs("default", [])
 
 
 @pytest.mark.parametrize("command", ["compress", "bench"])
@@ -222,6 +220,53 @@ def test_compress_rejects_unknown_config_key(tmp_path):
     )
     assert code == 2
     assert "thresold" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["compress", "--input", "x"],
+        ["compress", "--input", "x", "--output", "o", "--threshold", "abc"],
+        ["compress", "--input", "x", "--output", "o", "--no-such-flag"],
+        ["stats", "--frames-in", "many", "--frames-out", "1"],
+    ],
+    ids=["no-command", "unknown-command", "missing-flag", "not-an-int",
+         "unknown-flag", "stats-not-an-int"],
+)
+def test_argument_errors_keep_the_error_contract(argv):
+    """An argument error found while parsing the command line is one
+    ``error: InvalidArgument:`` line and exit 2, not a usage block."""
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert err.startswith("error: InvalidArgument: "), err
+
+
+@pytest.mark.parametrize(
+    "spelling", ["--queue-capacity", "queue_capacity", "queue-capacity"]
+)
+def test_removed_queue_capacity_is_rejected(tmp_path, spelling):
+    """Queue depth is not a setting: the flag and both config spellings
+    are refused as unknown, with one error line and exit 2."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    extra = [spelling, "2"]
+    if not spelling.startswith("--"):
+        config_path = os.path.join(tmp_path, "old.conf")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            fh.write(f"{spelling} = 2\n")
+        extra = ["--config", config_path]
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", os.path.join(tmp_path, "o")]
+        + extra
+    )
+    assert code == 2
+    assert err.count("\n") == 1, err
+    assert err.startswith("error: InvalidArgument: "), err
+    assert "queue" in err
 
 
 def test_compress_missing_input(tmp_path):
@@ -573,7 +618,7 @@ def _valid_inputs():
                 inputs[name] = fh.read()
     inputs["motion.cfg"] = (
         b"# motion\nthreshold = 20\ndownscale = 2\nbuffer = 1\n"
-        b"min_motion_pixels = 1\nqueue_capacity = 2\n"
+        b"min_motion_pixels = 1\n"
     )
     return inputs
 
