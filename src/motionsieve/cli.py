@@ -4,14 +4,14 @@ Error contract: every failure prints one line on stderr shaped like
 ``error: <Category>: <detail>`` and exits 1 for runtime errors or 2 for
 argument problems.  An interrupted run prints ``error: Interrupted`` and
 exits 130 for Ctrl-C or 143 for SIGTERM.  Success prints a short human
-report on stdout; machine-readable JSON goes wherever --stats-json points.
+report on stdout.  compress, stats and bench take ``--stats-json PATH|-``:
+the JSON report goes to PATH, or with ``-`` stdout carries the JSON alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import signal
 import sys
@@ -40,6 +40,7 @@ from .sidecar import SidecarWriter, read_sidecar
 from .stats import (
     CompressionStats,
     pixel_change_series,
+    render_json,
     stats_json,
     stats_table,
 )
@@ -219,12 +220,15 @@ def _then_close(frames, streams: ExitStack):
     streams.close()
 
 
-def _emit_json(text: str, dest: str) -> None:
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
+def _emit(text: str, payload: str | None, dest: str | None) -> None:
+    """Report a command's result: the human ``text`` on stdout and the JSON
+    ``payload`` in the file ``dest``, or, when ``dest`` is "-", the JSON
+    alone on stdout.  The file is written first, so a report that cannot
+    be written fails the command before stdout claims success."""
+    if dest not in (None, "-"):
         with open(dest, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(payload)
+    sys.stdout.write(payload if dest == "-" else text)
 
 
 def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]:
@@ -264,21 +268,24 @@ def cmd_compress(ns) -> int:
     stats = CompressionStats(
         report.frames_in, report.frames_out, bytes_in, bytes_out
     )
-    out = sys.stdout
-    out.write(f"frames in:       {report.frames_in}\n")
-    out.write(f"frames out:      {report.frames_out}\n")
     try:
-        out.write(f"frame reduction: {stats.frame_reduction_pct:.2f}%\n")
+        reduction = f"{stats.frame_reduction_pct:.2f}%"
     except ZeroInput:
-        out.write("frame reduction: n/a\n")
-    out.write(f"wall time:       {report.wall_time:.2f} s\n")
-    out.write(f"speed:           {report.processing_speed:.1f} fps\n")
-    out.write(f"video:           {video_final} ({os.path.getsize(video_final)} bytes)\n")
-    out.write(f"sidecar:         {sidecar_final} ({os.path.getsize(sidecar_final)} bytes)\n")
+        reduction = "n/a"
+    text = (
+        f"frames in:       {report.frames_in}\n"
+        f"frames out:      {report.frames_out}\n"
+        f"frame reduction: {reduction}\n"
+        f"wall time:       {report.wall_time:.2f} s\n"
+        f"speed:           {report.processing_speed:.1f} fps\n"
+        f"video:           {video_final} ({os.path.getsize(video_final)} bytes)\n"
+        f"sidecar:         {sidecar_final} ({os.path.getsize(sidecar_final)} bytes)\n"
+    )
     if stats.size_reduction_pct is not None:
-        out.write(f"size reduction:  {stats.size_reduction_pct:.2f}%\n")
-    if ns.stats_json:
-        _emit_json(stats_json(stats), ns.stats_json)
+        text += f"size reduction:  {stats.size_reduction_pct:.2f}%\n"
+    # An empty input has no frame reduction, so its JSON is only built
+    # when asked for.
+    _emit(text, stats_json(stats) if ns.stats_json else None, ns.stats_json)
     return 0
 
 
@@ -311,19 +318,23 @@ def cmd_stats(ns) -> int:
             f"pixel change mean    {series.mean:.2f}%\n"
             f"pixel change median  {series.median:.2f}%\n"
         )
-        payload = json.dumps(
-            {
-                "pixel_change_pct": {
-                    "mean": series.mean,
-                    "median": series.median,
-                    "per_frame": series.per_frame,
-                }
-            },
-            indent=2,
-        ) + "\n"
-        _emit_stats_outputs(table, payload, ns.stats_json)
-        return 0
+        payload = render_json({
+            "pixel_change_pct": {
+                "mean": series.mean,
+                "median": series.median,
+                "per_frame": series.per_frame,
+            }
+        })
+    else:
+        stats = _compression_stats(ns)
+        table, payload = stats_table(stats), stats_json(stats)
+    # With no --stats-json the JSON follows the table on stdout.
+    _emit(table if ns.stats_json else f"{table}\n{payload}", payload, ns.stats_json)
+    return 0
 
+
+def _compression_stats(ns) -> CompressionStats:
+    """The counts given as flags, or counted from the files given."""
     if ns.frames_in is not None or ns.frames_out is not None:
         if ns.frames_in is None or ns.frames_out is None:
             raise _UsageError("counts mode needs both --frames-in and --frames-out")
@@ -331,10 +342,10 @@ def cmd_stats(ns) -> int:
             raise _UsageError("--bytes-in and --bytes-out must be given together")
         if ns.frames_out < 0 or ns.frames_out > ns.frames_in:
             raise _UsageError("--frames-out must be in [0, --frames-in]")
-        stats = CompressionStats(
+        return CompressionStats(
             ns.frames_in, ns.frames_out, ns.bytes_in, ns.bytes_out
         )
-    elif ns.raw or ns.processed:
+    if ns.raw or ns.processed:
         if not (ns.raw and ns.processed):
             raise _UsageError("file mode needs both --raw and --processed")
         _require_file(ns.raw)
@@ -352,27 +363,11 @@ def cmd_stats(ns) -> int:
                 raise SidecarMismatch(
                     f"sidecar has {rows} rows, video has {frames_out} frames"
                 )
-        stats = CompressionStats(frames_in, frames_out, bytes_in, bytes_out)
-    else:
-        raise _UsageError(
-            "select a mode: --frames-in/--frames-out, --raw/--processed, "
-            "or --pixel-change"
-        )
-
-    _emit_stats_outputs(stats_table(stats), stats_json(stats), ns.stats_json)
-    return 0
-
-
-def _emit_stats_outputs(table: str, payload: str, dest: str | None) -> None:
-    if dest is None:
-        sys.stdout.write(table)
-        sys.stdout.write("\n")
-        sys.stdout.write(payload)
-    elif dest == "-":
-        sys.stdout.write(payload)
-    else:
-        _emit_json(payload, dest)
-        sys.stdout.write(table)
+        return CompressionStats(frames_in, frames_out, bytes_in, bytes_out)
+    raise _UsageError(
+        "select a mode: --frames-in/--frames-out, --raw/--processed, "
+        "or --pixel-change"
+    )
 
 
 def cmd_bench(ns) -> int:
@@ -382,41 +377,36 @@ def cmd_bench(ns) -> int:
     if ns.input == "-":
         raise _UsageError("bench needs a re-readable input file, not -")
 
-    reports = []
     with tempfile.TemporaryDirectory(prefix="motionsieve-bench-") as tmp:
-        for index in range(ns.replicates):
-            report, _ = _compress_once(
-                ns, motion, os.path.join(tmp, f"replicate{index}")
-            )
-            reports.append(report)
-            sys.stdout.write(
-                f"replicate {index + 1}: {report.wall_time:.2f} s "
-                f"({report.processing_speed:.1f} fps)\n"
-            )
+        reports = [
+            _compress_once(ns, motion, os.path.join(tmp, f"replicate{index}"))[0]
+            for index in range(ns.replicates)
+        ]
 
     times = [report.wall_time for report in reports]
     mean_time = fmean(times)
     sd_time = stdev(times) if len(times) > 1 else 0.0
     frames = reports[0].frames_in
     fps = frames / mean_time
-    sys.stdout.write(
+    text = "".join(
+        f"replicate {index}: {report.wall_time:.2f} s "
+        f"({report.processing_speed:.1f} fps)\n"
+        for index, report in enumerate(reports, start=1)
+    )
+    text += (
         f"time:  {mean_time:.2f} +/- {sd_time:.2f} s "
         f"over {ns.replicates} replicates\n"
+        f"speed: {fps:.1f} fps ({frames} frames)\n"
     )
-    sys.stdout.write(f"speed: {fps:.1f} fps ({frames} frames)\n")
-    if ns.stats_json:
-        payload = json.dumps(
-            {
-                "replicates": ns.replicates,
-                "times_sec": times,
-                "mean_sec": mean_time,
-                "sd_sec": sd_time,
-                "frames": frames,
-                "fps": fps,
-            },
-            indent=2,
-        ) + "\n"
-        _emit_json(payload, ns.stats_json)
+    payload = render_json({
+        "replicates": ns.replicates,
+        "times_sec": times,
+        "mean_sec": mean_time,
+        "sd_sec": sd_time,
+        "frames": frames,
+        "fps": fps,
+    })
+    _emit(text, payload, ns.stats_json)
     return 0
 
 
@@ -430,8 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    motion = argparse.ArgumentParser(add_help=False)
-    group = motion.add_argument_group("motion analysis")
+    # Each flag that several subcommands take is declared once, in a parent.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument(
+        "--input", required=True,
+        help="Y4M file (compress also takes - for stdin), "
+        "or compressed file with --decode-cmd",
+    )
+    source.add_argument(
+        "--decode-cmd",
+        help="decode command template with {input}, emitting Y4M on stdout",
+    )
+
+    run = argparse.ArgumentParser(add_help=False)
+    group = run.add_argument_group("motion analysis")
     defaults = {field.name: field.default for field in fields(MotionConfig)}
     for flag, field, prose in _MOTION_FLAGS:
         group.add_argument(
@@ -442,60 +444,49 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         help="key=value file mirroring these flags; explicit flags win",
     )
-
-    raw_input = argparse.ArgumentParser(add_help=False)
-    raw_input.add_argument(
+    run.add_argument(
+        "--encode-cmd",
+        help="encode command template with {output}, reading Y4M on stdin",
+    )
+    run.add_argument(
         "--raw-format", choices=[pf.value for pf in PixelFormat],
         help="treat input as headerless planar frames of this layout",
     )
-    raw_input.add_argument("--size", help="WxH, required with --raw-format")
-    raw_input.add_argument(
+    run.add_argument("--size", help="WxH, required with --raw-format")
+    run.add_argument(
         "--fps", help="frame rate N or N:D for raw input (default 30)"
     )
 
-    compress = commands.add_parser(
-        "compress", parents=[motion, raw_input],
-        help="drop still frames, mask moving ones",
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument(
+        "--stats-json",
+        help="write the JSON report to this file; - prints it alone on stdout",
     )
-    compress.add_argument(
-        "--input", required=True,
-        help="Y4M file, - for stdin, or compressed file with --decode-cmd",
+
+    compress = commands.add_parser(
+        "compress", parents=[source, run, report],
+        help="drop still frames, mask moving ones",
     )
     compress.add_argument(
         "--output", required=True,
         help="output prefix; writes <prefix>.y4m (or .enc) and <prefix>.csv",
     )
-    compress.add_argument(
-        "--decode-cmd",
-        help="decode command template with {input}, emitting Y4M on stdout",
-    )
-    compress.add_argument(
-        "--encode-cmd",
-        help="encode command template with {output}, reading Y4M on stdin",
-    )
-    compress.add_argument(
-        "--stats-json", help="write run stats JSON here (- for stdout)"
-    )
     compress.set_defaults(func=cmd_compress)
 
     reconstruct = commands.add_parser(
-        "reconstruct",
+        "reconstruct", parents=[source],
         help="rebuild playback streams from compressed video + sidecar",
     )
-    reconstruct.add_argument("--input", required=True)
     reconstruct.add_argument("--sidecar", required=True)
     reconstruct.add_argument(
         "--output", required=True,
         help="output prefix; writes .dl.y4m, .fgbg.y4m, .align.csv",
     )
-    reconstruct.add_argument(
-        "--decode-cmd",
-        help="decode command template with {input}, emitting Y4M on stdout",
-    )
     reconstruct.set_defaults(func=cmd_reconstruct)
 
     stats = commands.add_parser(
-        "stats", help="reduction percentages and pixel-change statistics"
+        "stats", parents=[report],
+        help="reduction percentages and pixel-change statistics",
     )
     stats.add_argument("--frames-in", type=int)
     stats.add_argument("--frames-out", type=int)
@@ -514,30 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=int, default=threshold.default,
         help=f"pixel-change threshold, 0-255 (default {threshold.default})",
     )
-    stats.add_argument(
-        "--stats-json", help="write JSON here (- for stdout only)"
-    )
     stats.set_defaults(func=cmd_stats)
 
     bench = commands.add_parser(
-        "bench", parents=[motion, raw_input],
+        "bench", parents=[source, run, report],
         help="time repeated compression runs of one input",
     )
-    bench.add_argument("--input", required=True)
     bench.add_argument(
         "--replicates", type=int, default=3,
         help="number of timed runs (default 3)",
-    )
-    bench.add_argument(
-        "--decode-cmd",
-        help="decode command template with {input}, emitting Y4M on stdout",
-    )
-    bench.add_argument(
-        "--encode-cmd",
-        help="encode command template with {output}, reading Y4M on stdin",
-    )
-    bench.add_argument(
-        "--stats-json", help="write timing JSON here (- for stdout)"
     )
     bench.set_defaults(func=cmd_bench)
 

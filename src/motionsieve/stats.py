@@ -110,17 +110,22 @@ class CompressionStats:
         return size_reduction(self.bytes_in, self.bytes_out)
 
 
+def render_json(payload: dict) -> str:
+    """Deterministic JSON rendering: keys in the payload's order, two-space
+    indent, trailing newline.  Every JSON report the CLI prints is made here."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def stats_json(stats: CompressionStats) -> str:
-    """Deterministic JSON rendering; fixed key order, trailing newline."""
-    payload = {
+    """The reduction report as JSON, in a fixed key order."""
+    return render_json({
         "frames_in": stats.frames_in,
         "frames_out": stats.frames_out,
         "frame_reduction_pct": stats.frame_reduction_pct,
         "bytes_in": stats.bytes_in,
         "bytes_out": stats.bytes_out,
         "size_reduction_pct": stats.size_reduction_pct,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def stats_table(stats: CompressionStats) -> str:

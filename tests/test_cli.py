@@ -1,3 +1,4 @@
+import argparse
 import functools
 import gzip
 import io
@@ -195,6 +196,52 @@ def test_help_shows_motion_config_defaults(command):
         flag = flags[field.name]
         entry = rf"--{flag} {flag.replace('-', '_').upper()} (?:(?!--).)*?"
         assert re.search(rf"{entry}\(default {field.default}\)", text), flag
+
+
+# Every flag of each subcommand, and the required ones among them.
+_SUBCOMMAND_OPTIONS = {
+    "compress": (
+        "--buffer --config --decode-cmd --downscale --encode-cmd --fps -h "
+        "--help --input --keyframe-interval --min-motion-pixels --output "
+        "--raw-format --size --stats-json --threshold",
+        "--input --output",
+    ),
+    "reconstruct": (
+        "--decode-cmd -h --help --input --output --sidecar",
+        "--input --output --sidecar",
+    ),
+    "stats": (
+        "--bytes-in --bytes-out --frames-in --frames-out -h --help --input "
+        "--pixel-change --processed --raw --sidecar --stats-json --threshold",
+        "",
+    ),
+    "bench": (
+        "--buffer --config --decode-cmd --downscale --encode-cmd --fps -h "
+        "--help --input --keyframe-interval --min-motion-pixels --raw-format "
+        "--replicates --size --stats-json --threshold",
+        "--input",
+    ),
+}
+
+
+def test_subcommand_options_are_pinned():
+    """Flags shared between subcommands reach exactly the subcommands that
+    take them, and each subcommand keeps every flag it had."""
+    parser = cli.build_parser()
+    (commands,) = (action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == list(_SUBCOMMAND_OPTIONS)
+    for name, sub in commands.items():
+        options = sorted(o for a in sub._actions for o in a.option_strings)
+        required = sorted(o for a in sub._actions if a.required
+                          for o in a.option_strings)
+        expected, expected_required = _SUBCOMMAND_OPTIONS[name]
+        assert options == sorted(expected.split()), name
+        assert required == sorted(expected_required.split()), name
+    for name in ("compress", "bench"):
+        settable = [a for a in commands[name]._actions
+                    if a.option_strings and a.dest != "help"]
+        assert len(settable) == 14, name
 
 
 def test_compress_rejects_bad_threshold(tmp_path):
@@ -769,6 +816,52 @@ def test_bench_replicates(tmp_path):
     assert len(payload["times_sec"]) == 3
     assert payload["frames"] == 20
     assert payload["fps"] == pytest.approx(20 / payload["mean_sec"])
+
+
+def _reporting_args(command, tmp_path):
+    """A successful run of a subcommand that takes --stats-json."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    return {
+        "compress": ["compress", "--input", src, "--min-motion-pixels", "1",
+                     "--output", os.path.join(tmp_path, "out")],
+        "stats": ["stats", "--frames-in", "100", "--frames-out", "25"],
+        "bench": ["bench", "--input", src, "--min-motion-pixels", "1",
+                  "--replicates", "2"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["compress", "bench"])
+def test_stats_json_dash_prints_the_json_alone(tmp_path, command):
+    """With --stats-json - stdout is the JSON report a file dest gets."""
+    args = _reporting_args(command, tmp_path)
+    dest = os.path.join(tmp_path, "stats.json")
+    code, _, err = run_cli([*args, "--stats-json", dest])
+    assert code == 0, err
+    with open(dest, encoding="utf-8") as fh:
+        from_file = json.load(fh)
+    code, out, err = run_cli([*args, "--stats-json", "-"])
+    assert code == 0, err
+    from_stdout = json.loads(out)
+    if command == "compress":
+        assert from_stdout == from_file
+    else:
+        keys = ("frames", "replicates")
+        assert [from_stdout[k] for k in keys] == [from_file[k] for k in keys]
+        assert from_file["frames"] == 12
+
+
+@pytest.mark.parametrize("command", ["compress", "stats", "bench"])
+def test_unwritable_stats_json_prints_no_report(tmp_path, command):
+    """A JSON report that cannot be written fails the command before stdout
+    reports success."""
+    dest = os.path.join(tmp_path, "missing", "stats.json")
+    code, out, err = run_cli(
+        [*_reporting_args(command, tmp_path), "--stats-json", dest]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: IO:") and err.count("\n") == 1
 
 
 def test_bench_rejects_bad_replicates(tmp_path):

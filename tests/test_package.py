@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import types
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import motionsieve
+from motionsieve import PixelFormat, StreamHeader, frame_reduction, read_sidecar
+from synth import frames_to_y4m, moving_square_video
 
 # Counting threads through /proc is Linux-only.
 needs_proc_tasks = pytest.mark.skipif(
@@ -94,3 +97,22 @@ def test_all_matches_public_namespace():
     assert len(motionsieve.__all__) == len(public)
     assert "RawWriter" not in public
     assert "stats_from_json" not in public
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block runs as written next to a night.y4m
+    and prints the run's frame reduction."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    library = text[text.index("## Library use"):]
+    code = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    header = StreamHeader(40, 32, 30, 1, PixelFormat.GRAY8)
+    frames = moving_square_video(40, 32, 12)
+    # The square stops for the last 8 frames, so they are dropped.
+    (tmp_path / "night.y4m").write_bytes(frames_to_y4m(header, frames + frames[-1:] * 8))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(readme), "exec"), {})
+    with open("cam0.csv", encoding="utf-8", newline="") as handle:
+        kept = len(read_sidecar(handle))
+    assert 0 < kept < 20
+    assert capsys.readouterr().out == f"{frame_reduction(20, kept)}\n"
