@@ -21,7 +21,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import fields
 from statistics import fmean, stdev
 
-from .errors import MotionSieveError, SidecarMismatch, ZeroInput
+from .errors import MotionSieveError, SidecarMismatch
 from .frame_io import (
     CodecDecoder,
     CodecEncoder,
@@ -220,7 +220,7 @@ def _then_close(frames, streams: ExitStack):
     streams.close()
 
 
-def _emit(text: str, payload: str | None, dest: str | None) -> None:
+def _emit(text: str, payload: str, dest: str | None) -> None:
     """Report a command's result: the human ``text`` on stdout and the JSON
     ``payload`` in the file ``dest``, or, when ``dest`` is "-", the JSON
     alone on stdout.  The file is written first, so a report that cannot
@@ -268,10 +268,9 @@ def cmd_compress(ns) -> int:
     stats = CompressionStats(
         report.frames_in, report.frames_out, bytes_in, bytes_out
     )
-    try:
-        reduction = f"{stats.frame_reduction_pct:.2f}%"
-    except ZeroInput:
-        reduction = "n/a"
+    reduction = (
+        "n/a" if report.frames_in == 0 else f"{stats.frame_reduction_pct:.2f}%"
+    )
     text = (
         f"frames in:       {report.frames_in}\n"
         f"frames out:      {report.frames_out}\n"
@@ -283,9 +282,7 @@ def cmd_compress(ns) -> int:
     )
     if stats.size_reduction_pct is not None:
         text += f"size reduction:  {stats.size_reduction_pct:.2f}%\n"
-    # An empty input has no frame reduction, so its JSON is only built
-    # when asked for.
-    _emit(text, stats_json(stats) if ns.stats_json else None, ns.stats_json)
+    _emit(text, stats_json(stats, empty_ok=True), ns.stats_json)
     return 0
 
 

@@ -433,20 +433,26 @@ def check_template(role: str, template: str) -> str:
 class _CodecChild:
     """An external codec command, run with one standard stream piped.
 
-    The child's stderr is drained so it can never block.  close() waits
-    for the child and raises NonZeroExit, carrying the stderr tail, on a
-    nonzero status; abort() kills it without caring about its status.
-    The child leads a process group of its own, so abort() also kills
-    whatever a shell command forked instead of exec'ing.
+    Listed before a Y4M reader or writer class, it makes that class's
+    stream the child's pipe: the reader or writer is built over it here,
+    and a failure while building it (the header read or write) releases
+    the child.  The child's stderr is drained so it can never block.
+    close() waits for the child and raises NonZeroExit, carrying the
+    stderr tail, on a nonzero status; abort() kills it without caring
+    about its status.  The child leads a process group of its own, so
+    abort() also kills whatever a shell command forked instead of
+    exec'ing.
     """
 
     _role = ""
+    _writes = False
 
-    def __init__(self, template: str, path, *, writes: bool):
+    def __init__(self, template: str, path, *args):
         placeholder = check_template(self._role, template)
         argv = [
             token.replace(placeholder, str(path)) for token in shlex.split(template)
         ]
+        writes = self._writes
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -460,6 +466,18 @@ class _CodecChild:
         self._pipe = self._proc.stdin if writes else self._proc.stdout
         _widen_pipe(self._pipe)
         self._stderr = _StderrDrain(self._proc.stderr)
+        try:
+            super().__init__(self._pipe, *args)
+        except MotionSieveError as exc:
+            # The stream never started; the child's own failure is the
+            # better diagnostic when it exited nonzero.
+            self._check_exit(exc)
+            raise
+        except BaseException:
+            # Interrupted while the child is still running: nothing owns
+            # it yet, so kill it here.
+            self.abort()
+            raise
 
     def close(self) -> None:
         """Release the child and surface its exit status."""
@@ -512,8 +530,8 @@ def _widen_pipe(pipe) -> None:
         pass
 
 
-class CodecDecoder(_CodecChild):
-    """Frame source backed by an external decode command.
+class CodecDecoder(_CodecChild, Y4MReader):
+    """A Y4MReader over the stdout of an external decode command.
 
     The command template names the compressed file via ``{input}`` and must
     emit Y4M on stdout.  The child's exit status is checked in close(); a
@@ -522,31 +540,9 @@ class CodecDecoder(_CodecChild):
 
     _role = "decode"
 
-    def __init__(self, template: str, input_path):
-        super().__init__(template, input_path, writes=False)
-        try:
-            self._reader = Y4MReader(self._pipe)
-        except MotionSieveError as exc:
-            # The stream never started; the child's own failure is the
-            # better diagnostic when it exited nonzero.
-            self._check_exit(exc)
-            raise
-        except BaseException:
-            # Interrupted while the child is still running: nothing owns
-            # it yet, so kill it here.
-            self.abort()
-            raise
-        self.header = self._reader.header
 
-    def read(self) -> Frame | None:
-        return self._reader.read()
-
-    def __iter__(self) -> Iterator[Frame]:
-        return iter(self._reader)
-
-
-class CodecEncoder(_CodecChild):
-    """Frame sink backed by an external encode command.
+class CodecEncoder(_CodecChild, Y4MWriter):
+    """A Y4MWriter into the stdin of an external encode command.
 
     The command template names the compressed output file via ``{output}``
     and must read Y4M from stdin.  An encoder that stops reading raises
@@ -555,18 +551,11 @@ class CodecEncoder(_CodecChild):
     """
 
     _role = "encode"
+    _writes = True
 
-    def __init__(self, template: str, output_path, header: StreamHeader):
-        super().__init__(template, output_path, writes=True)
-        self.header = header
-        self._writer = self._send(Y4MWriter, self._pipe, header)
-
-    def write_frame(self, frame: Frame) -> None:
-        self._send(self._writer.write_frame, frame)
-
-    def _send(self, call, *args):
+    def _write(self, data) -> None:
         try:
-            return call(*args)
+            super()._write(data)
         except BrokenPipeError as exc:
             self._check_exit(exc)
             raise BrokenPipe("encode command closed its input early") from exc

@@ -116,12 +116,15 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def stats_json(stats: CompressionStats) -> str:
-    """The reduction report as JSON, in a fixed key order."""
+def stats_json(stats: CompressionStats, *, empty_ok: bool = False) -> str:
+    """The reduction report as JSON, in a fixed key order.  With no input
+    frames it raises ZeroInput, or with ``empty_ok`` reports the frame
+    reduction as null, as compress does for an empty input."""
+    empty = empty_ok and stats.frames_in == 0
     return render_json({
         "frames_in": stats.frames_in,
         "frames_out": stats.frames_out,
-        "frame_reduction_pct": stats.frame_reduction_pct,
+        "frame_reduction_pct": None if empty else stats.frame_reduction_pct,
         "bytes_in": stats.bytes_in,
         "bytes_out": stats.bytes_out,
         "size_reduction_pct": stats.size_reduction_pct,

@@ -293,6 +293,90 @@ def test_argument_errors_keep_the_error_contract(argv):
 
 
 @pytest.mark.parametrize(
+    "argv, config, detail",
+    [
+        (["compress", "--config", "{tmp}/none.conf"], None,
+         "cannot read config file"),
+        (["compress", "--config", "{tmp}"], None, "cannot read config file"),
+        (["compress", "--config", "{tmp}/bad.conf"], "threshold 30\n",
+         "expected key=value"),
+        (["compress", "--raw-format", "gray8", "--size", "32-24"], None,
+         "size must look like WxH"),
+        (["compress", "--raw-format", "gray8", "--size", "32x24",
+          "--decode-cmd", GZ_DECODE], None, "cannot be combined"),
+        (["compress", "--input", "-", "--decode-cmd", GZ_DECODE], None,
+         "needs a real input file"),
+        (["stats", "--raw", "{src}"], None, "needs both --raw and --processed"),
+    ],
+    ids=["config-missing", "config-directory", "config-without-equals",
+         "bad-size", "raw-with-decode-cmd", "stdin-with-decode-cmd",
+         "raw-without-processed"],
+)
+def test_argument_errors_found_after_parsing(tmp_path, argv, config, detail):
+    """Argument errors caught past argparse, in the config file, the input
+    flags or the stats modes, keep the one-line contract and exit 2."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    if config is not None:
+        with open(os.path.join(tmp_path, "bad.conf"), "w", encoding="utf-8") as fh:
+            fh.write(config)
+    argv = [arg.replace("{tmp}", str(tmp_path)).replace("{src}", src)
+            for arg in argv]
+    if argv[0] == "compress":
+        if "--input" not in argv:
+            argv += ["--input", src]
+        argv += ["--output", os.path.join(tmp_path, "o")]
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert err.startswith("error: InvalidArgument: "), err
+    assert detail in err
+
+
+@pytest.mark.parametrize("quote", ["'", '"'])
+def test_quoted_config_value_matches_flag(tmp_path, quote):
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    config_path = os.path.join(tmp_path, "quoted.conf")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(f"threshold = {quote}30{quote}\n")
+
+    def outputs(name, extra):
+        prefix = os.path.join(tmp_path, name)
+        code, _, err = run_cli(
+            ["compress", "--input", src, "--output", prefix] + extra
+        )
+        assert code == 0, err
+        blobs = []
+        for suffix in (".y4m", ".csv"):
+            with open(prefix + suffix, "rb") as fh:
+                blobs.append(fh.read())
+        return blobs
+
+    assert outputs("file", ["--config", config_path]) == outputs(
+        "flag", ["--threshold", "30"]
+    )
+
+
+@pytest.mark.parametrize("fps, tag", [(None, b"F30:1"), ("25", b"F25:1")])
+def test_raw_input_frame_rate(tmp_path, fps, tag):
+    """Raw input is 30 fps unless --fps says otherwise."""
+    src = os.path.join(tmp_path, "frames.raw")
+    with open(src, "wb") as fh:
+        fh.write(bytes(16 * 16) * 3)
+    prefix = os.path.join(tmp_path, "out")
+    extra = [] if fps is None else ["--fps", fps]
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", prefix,
+         "--raw-format", "gray8", "--size", "16x16"] + extra
+    )
+    assert code == 0, err
+    with open(prefix + ".y4m", "rb") as fh:
+        assert fh.readline() == b"YUV4MPEG2 W16 H16 " + tag + b" Cmono\n"
+
+
+@pytest.mark.parametrize(
     "spelling", ["--queue-capacity", "queue_capacity", "queue-capacity"]
 )
 def test_removed_queue_capacity_is_rejected(tmp_path, spelling):
@@ -849,6 +933,33 @@ def test_stats_json_dash_prints_the_json_alone(tmp_path, command):
         keys = ("frames", "replicates")
         assert [from_stdout[k] for k in keys] == [from_file[k] for k in keys]
         assert from_file["frames"] == 12
+
+
+@pytest.mark.parametrize("dest", ["file", "-"])
+def test_compress_empty_input_reports_null_frame_reduction(tmp_path, dest):
+    """A header-only input is a successful run with no frame reduction:
+    exit 0, outputs committed, and the JSON report says null."""
+    src = os.path.join(tmp_path, "empty.y4m")
+    with open(src, "wb") as fh:
+        fh.write(b"YUV4MPEG2 W4 H4 F30:1 Cmono\n")
+    prefix = os.path.join(tmp_path, "out")
+    json_path = os.path.join(tmp_path, "stats.json")
+    code, out, err = run_cli(
+        ["compress", "--input", src, "--output", prefix,
+         "--stats-json", json_path if dest == "file" else "-"]
+    )
+    assert (code, err) == (0, "")
+    if dest == "file":
+        assert "frame reduction: n/a\n" in out
+        with open(json_path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    else:
+        payload = json.loads(out)
+    assert payload["frames_in"] == payload["frames_out"] == 0
+    assert payload["frame_reduction_pct"] is None
+    for suffix in (".y4m", ".csv"):
+        assert os.path.exists(prefix + suffix)
+        assert not os.path.exists(prefix + suffix + ".partial")
 
 
 @pytest.mark.parametrize("command", ["compress", "stats", "bench"])

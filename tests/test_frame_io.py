@@ -1,3 +1,4 @@
+import errno
 import gzip
 import io
 import shlex
@@ -23,6 +24,7 @@ from motionsieve import (
     NonZeroExit,
     PixelFormat,
     RawReader,
+    SinkUnavailable,
     SpawnFailure,
     StreamHeader,
     TruncatedFrame,
@@ -304,6 +306,50 @@ def test_y4m_writer_writes_a_view_byte_for_byte():
     assert sink.getvalue() == frames_to_y4m(header, frames)
 
 
+class _FaultySink:
+    """A binary sink that takes the header, then raises ``write_error``
+    from every write, or ``flush_error`` from every flush."""
+
+    def __init__(self, write_error=None, flush_error=None):
+        self.data = bytearray()
+        self.write_error = write_error
+        self.flush_error = flush_error
+
+    def write(self, data):
+        if self.data and self.write_error is not None:
+            raise self.write_error
+        self.data += data
+        return len(data)
+
+    def flush(self):
+        if self.flush_error is not None:
+            raise self.flush_error
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_y4m_writer_reports_a_full_disk_as_sink_unavailable(failing):
+    header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
+    full = OSError(errno.ENOSPC, "No space left on device")
+    writer = Y4MWriter(_FaultySink(**{f"{failing}_error": full}), header)
+    with pytest.raises(SinkUnavailable) as excinfo:
+        if failing == "write":
+            writer.write_frame(gray_frame(np.zeros((4, 4), np.uint8)))
+        else:
+            writer.flush()
+    assert excinfo.value.__cause__ is full
+
+
+def test_y4m_writer_lets_a_broken_pipe_through():
+    """A BrokenPipeError reaches the caller unchanged, so a writer into a
+    codec's stdin can tell a dead reader from a failed disk."""
+    header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
+    broken = BrokenPipeError(errno.EPIPE, "Broken pipe")
+    writer = Y4MWriter(_FaultySink(write_error=broken), header)
+    with pytest.raises(BrokenPipeError) as excinfo:
+        writer.write_frame(gray_frame(np.zeros((4, 4), np.uint8)))
+    assert excinfo.value is broken
+
+
 def test_codec_encoder_writes_a_view_byte_for_byte(tmp_path):
     header = StreamHeader(6, 4, 30, 1, PixelFormat.RGB24)
     rng = np.random.default_rng(12)
@@ -394,6 +440,16 @@ def test_codec_decoder_via_cat(tmp_path):
         assert decoder.header == header
         out = list(decoder)
     assert [f.data for f in out] == [f.data for f in frames]
+
+
+def test_codec_adapters_are_the_y4m_reader_and_writer(tmp_path):
+    """Either adapter fits wherever a Y4M reader or writer does."""
+    header, frames, path = _clip(tmp_path, count=2)
+    with CodecDecoder("cat {input}", path) as decoder:
+        assert isinstance(decoder, Y4MReader)
+        assert [f.data for f in decoder] == [f.data for f in frames]
+    with CodecEncoder(GZ_ENCODE, tmp_path / "out.y4m.gz", header) as encoder:
+        assert isinstance(encoder, Y4MWriter)
 
 
 def _clip(tmp_path, count=6):

@@ -1,22 +1,31 @@
+import contextlib
 import io
+import itertools
 import math
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motionsieve import (
     MotionConfig,
+    PixelFormat,
     SidecarRecord,
     SinkUnavailable,
     StageFailure,
+    StreamHeader,
     Y4MReader,
     Y4MWriter,
     read_sidecar,
     reference_compress,
     run_pipeline,
+    serialize_y4m_header,
 )
+from motionsieve.motion_core import analyse
 from motionsieve.sidecar import SidecarWriter
-from synth import gray_frame, random_video
+from synth import gray_frame, moving_square_luma, random_video
 
 VARIED_CONFIG = MotionConfig(
     threshold=20, downscale=2, buffer_radius=1,
@@ -435,3 +444,98 @@ def test_frames_larger_than_the_byte_budget_still_move():
     report = run_pipeline(iter(frames), MotionConfig(), sink,
                           SidecarWriter(io.StringIO()), queue_capacity=2)
     assert (report.frames_in, report.frames_out, sink.writes) == (3, 3, 3)
+
+
+def _resting_square():
+    """A square that moves, rests, then moves again: the run drops frames,
+    masks frames and promotes keyframes."""
+    moves = moving_square_luma(16, 16, 16, size=4, step=2)
+    patterns = moves[:8] + [moves[7]] * 8 + moves[8:]
+    return [gray_frame(pattern, i) for i, pattern in enumerate(patterns)]
+
+
+_FAULT_FRAMES = _resting_square()
+_FAULT_HEADER = StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8)
+_FAULT_VIDEO, _FAULT_SIDECAR = render_reference(
+    _FAULT_HEADER, _FAULT_FRAMES, VARIED_CONFIG
+)
+
+
+def _failing_at(call, error, real, fired):
+    """``real``, except that its ``call``-th call appends to ``fired`` and
+    raises ``error``."""
+    calls = itertools.count(1)
+
+    def wrapper(*args):
+        if next(calls) == call:
+            fired.append(error)
+            raise error
+        return real(*args)
+
+    return wrapper
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    site=st.sampled_from(["next", "analyse", "write_frame", "write_row"]),
+    call=st.integers(1, 26),
+    error_type=st.sampled_from([OSError, ValueError, RuntimeError, SinkUnavailable]),
+)
+def test_injected_fault_stops_the_run_at_a_whole_prefix(
+    capacity, site, call, error_type
+):
+    """A failure raised at any call of the source or a stage fails the run
+    with one StageFailure caused by it, leaves outputs that are a prefix of
+    the reference, with the frame written before its row, and leaves no
+    stage thread running.  A failure never reached changes nothing."""
+    error = error_type("injected")
+    fired = []
+    video = io.BytesIO()
+    video_sink = Y4MWriter(video, _FAULT_HEADER)
+    sidecar = io.StringIO()
+    sidecar_sink = SidecarWriter(sidecar)
+    source = iter(_FAULT_FRAMES)
+    with contextlib.ExitStack() as patches:
+        if site == "next":
+            # iter(callable, sentinel) calls the callable for every next();
+            # no frame is None, so only the list's end stops it.
+            source = iter(_failing_at(call, error, source.__next__, fired), None)
+        elif site == "analyse":
+            patches.enter_context(mock.patch(
+                "motionsieve.pipeline.analyse",
+                _failing_at(call, error, analyse, fired),
+            ))
+        else:
+            sink = video_sink if site == "write_frame" else sidecar_sink
+            patches.enter_context(mock.patch.object(
+                sink, site, _failing_at(call, error, getattr(sink, site), fired)
+            ))
+        try:
+            run_pipeline(source, VARIED_CONFIG, video_sink, sidecar_sink,
+                         queue_capacity=capacity)
+        except StageFailure as exc:
+            assert exc.__cause__ is error
+            assert fired == [error]
+        else:
+            assert fired == []
+
+    for thread in threading.enumerate():
+        if thread.name.startswith("motionsieve-"):
+            thread.join(1.0)
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("motionsieve-") and t.is_alive()]
+
+    got_video, got_sidecar = video.getvalue(), sidecar.getvalue()
+    if not fired:
+        assert (got_video, got_sidecar) == (_FAULT_VIDEO, _FAULT_SIDECAR)
+        return
+    header_bytes = len(serialize_y4m_header(_FAULT_HEADER))
+    frame_bytes = len(b"FRAME\n") + _FAULT_HEADER.frame_size()
+    frames, torn = divmod(len(got_video) - header_bytes, frame_bytes)
+    assert torn == 0
+    assert got_video == _FAULT_VIDEO[:len(got_video)]
+    assert got_sidecar.endswith("\n")
+    assert _FAULT_SIDECAR.startswith(got_sidecar)
+    rows = got_sidecar.count("\n") - 1
+    assert 0 <= frames - rows <= 1
