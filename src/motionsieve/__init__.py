@@ -47,32 +47,10 @@ from .frame_io import (
     Y4MReader,
     Y4MWriter,
     count_y4m_frames,
-    parse_y4m_header,
-    serialize_y4m_header,
 )
-from .motion_core import (
-    AnalysisOutcome,
-    AnalysisState,
-    MotionConfig,
-    OutcomeKind,
-    abs_diff,
-    analyse,
-    apply_mask,
-    dilate,
-    downscale,
-    mask_grid_shape,
-    threshold_mask,
-    to_grayscale,
-    upscale_mask,
-)
+from .motion_core import MotionConfig
 from .pipeline import PipelineReport, reference_compress, run_pipeline
-from .reconstruct import (
-    RebuiltFrame,
-    env_frame,
-    rec_frame,
-    reconstruct_files,
-    reconstruct_stream,
-)
+from .reconstruct import RebuiltFrame, reconstruct_files, reconstruct_stream
 from .sidecar import SidecarRecord, SidecarWriter, read_sidecar, write_sidecar
 from .stats import (
     CompressionStats,
@@ -87,8 +65,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisOutcome",
-    "AnalysisState",
     "BrokenPipe",
     "CodecDecoder",
     "CodecEncoder",
@@ -103,7 +79,6 @@ __all__ = [
     "MotionSieveError",
     "NonMonotonicIndex",
     "NonZeroExit",
-    "OutcomeKind",
     "PipelineReport",
     "PixelChangeSeries",
     "PixelFormat",
@@ -122,29 +97,16 @@ __all__ = [
     "Y4MReader",
     "Y4MWriter",
     "ZeroInput",
-    "abs_diff",
-    "analyse",
-    "apply_mask",
     "count_y4m_frames",
-    "dilate",
-    "downscale",
-    "env_frame",
     "frame_reduction",
-    "mask_grid_shape",
-    "parse_y4m_header",
     "pixel_change_series",
-    "rec_frame",
     "reconstruct_files",
     "reconstruct_stream",
     "read_sidecar",
     "reference_compress",
     "run_pipeline",
-    "serialize_y4m_header",
     "size_reduction",
     "stats_json",
     "stats_table",
-    "threshold_mask",
-    "to_grayscale",
-    "upscale_mask",
     "write_sidecar",
 ]

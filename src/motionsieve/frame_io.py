@@ -331,7 +331,8 @@ def _read_frame_marker(stream: BinaryIO) -> bool:
 
 class Y4MWriter:
     """Frame sink serializing to Y4M.  The header line is written eagerly,
-    so an empty stream still yields a well-formed file."""
+    so an empty stream still yields a well-formed file.  A BrokenPipeError
+    from a write or a flush reaches the caller unchanged."""
 
     def __init__(self, stream: BinaryIO, header: StreamHeader):
         self._stream = stream
@@ -355,6 +356,8 @@ class Y4MWriter:
     def flush(self) -> None:
         try:
             self._stream.flush()
+        except BrokenPipeError:
+            raise
         except (OSError, ValueError) as exc:
             raise SinkUnavailable(str(exc)) from exc
 
@@ -480,7 +483,14 @@ class _CodecChild:
             raise
 
     def close(self) -> None:
-        """Release the child and surface its exit status."""
+        """Finish the stream, then release the child and surface its exit
+        status.  When finishing fails, the child is killed and reaped: a
+        child that stalled without reading would block another flush."""
+        try:
+            super().close()
+        except BaseException:
+            self.abort()
+            raise
         self._check_exit()
 
     def abort(self) -> None:
@@ -546,8 +556,9 @@ class CodecEncoder(_CodecChild, Y4MWriter):
 
     The command template names the compressed output file via ``{output}``
     and must read Y4M from stdin.  An encoder that stops reading raises
-    BrokenPipe (or NonZeroExit when it already failed); close() waits for
-    the child and checks its status.
+    BrokenPipe (or NonZeroExit when it already failed), in a write or in
+    the flush of close(); close() then waits for the child and checks its
+    status.
     """
 
     _role = "encode"
@@ -557,5 +568,14 @@ class CodecEncoder(_CodecChild, Y4MWriter):
         try:
             super()._write(data)
         except BrokenPipeError as exc:
-            self._check_exit(exc)
-            raise BrokenPipe("encode command closed its input early") from exc
+            self._closed_early(exc)
+
+    def flush(self) -> None:
+        try:
+            super().flush()
+        except BrokenPipeError as exc:
+            self._closed_early(exc)
+
+    def _closed_early(self, exc: BrokenPipeError) -> None:
+        self._check_exit(exc)
+        raise BrokenPipe("encode command closed its input early") from exc

@@ -24,21 +24,19 @@ from motionsieve import (
     StreamHeader,
     Y4MReader,
     Y4MWriter,
-    env_frame,
     frame_reduction,
-    parse_y4m_header,
     read_sidecar,
     reconstruct_stream,
     reference_compress,
-    rec_frame,
     run_pipeline,
-    serialize_y4m_header,
     size_reduction,
-    to_grayscale,
     write_sidecar,
 )
 from motionsieve import motion_core
 from motionsieve.cli import main as cli_main
+from motionsieve.frame_io import parse_y4m_header, serialize_y4m_header
+from motionsieve.motion_core import to_grayscale
+from motionsieve.reconstruct import env_frame, rec_frame
 from motionsieve.sidecar import SidecarWriter
 from oracles import (
     oracle_dilate,

@@ -25,8 +25,8 @@ from motionsieve import (
     Y4MReader,
     cli,
     read_sidecar,
-    serialize_y4m_header,
 )
+from motionsieve.frame_io import serialize_y4m_header
 from synth import frames_to_y4m, gray_frame, moving_square_video
 
 GZ_DECODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec decode {{input}}"
@@ -307,10 +307,19 @@ def test_argument_errors_keep_the_error_contract(argv):
         (["compress", "--input", "-", "--decode-cmd", GZ_DECODE], None,
          "needs a real input file"),
         (["stats", "--raw", "{src}"], None, "needs both --raw and --processed"),
+        (["compress", "--config", "{tmp}/bad.conf"], "threshold = abc\n",
+         "threshold must be an integer"),
+        (["compress", "--raw-format", "gray8", "--size", "ax24"], None,
+         "size must be an integer"),
+        (["compress", "--raw-format", "yuv420", "--size", "31x24"], None,
+         "yuv420 requires even width and height"),
+        (["compress", "--raw-format", "gray8", "--size", "16x16", "--fps", "0"],
+         None, "frame rate must be positive"),
     ],
     ids=["config-missing", "config-directory", "config-without-equals",
          "bad-size", "raw-with-decode-cmd", "stdin-with-decode-cmd",
-         "raw-without-processed"],
+         "raw-without-processed", "config-not-an-int", "size-not-an-int",
+         "odd-yuv420-size", "zero-fps"],
 )
 def test_argument_errors_found_after_parsing(tmp_path, argv, config, detail):
     """Argument errors caught past argparse, in the config file, the input

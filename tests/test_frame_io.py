@@ -32,9 +32,8 @@ from motionsieve import (
     Y4MReader,
     Y4MWriter,
     count_y4m_frames,
-    parse_y4m_header,
-    serialize_y4m_header,
 )
+from motionsieve.frame_io import parse_y4m_header, serialize_y4m_header
 from synth import frames_to_y4m, gray_frame, random_frame
 
 GZ_DECODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec decode {{input}}"
@@ -153,6 +152,32 @@ def test_parse_header_unsupported_colorspace(colorspace):
 def test_header_rejects_odd_yuv_dims_at_construction():
     with pytest.raises(ValueError):
         StreamHeader(5, 4, 30, 1, PixelFormat.YUV420)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0, 4, 30, 1), "dimensions must be positive"),
+        ((4, 0, 30, 1), "dimensions must be positive"),
+        ((4, 4, 0, 1), "frame rate must be positive"),
+        ((4, 4, 30, 0), "frame rate must be positive"),
+    ],
+    ids=["width", "height", "fps_num", "fps_den"],
+)
+def test_header_rejects_a_zero_field_at_construction(fields, message):
+    with pytest.raises(ValueError, match=message):
+        StreamHeader(*fields, PixelFormat.GRAY8)
+
+
+def test_frame_rejects_odd_yuv_dims():
+    with pytest.raises(ValueError, match="yuv420 requires even width and height"):
+        Frame(0, 3, 2, PixelFormat.YUV420, b"\x00" * 9)
+
+
+def test_parse_header_skips_an_empty_tag():
+    """Two spaces between tags parse like one."""
+    doubled = parse_y4m_header(header_stream("YUV4MPEG2 W4  H2 F25:1 Cmono\n"))
+    assert doubled == parse_y4m_header(header_stream("YUV4MPEG2 W4 H2 F25:1 Cmono\n"))
 
 
 def test_read_frames_then_eos():
@@ -596,6 +621,20 @@ def test_codec_encoder_broken_pipe(tmp_path):
         for _ in range(8):
             encoder.write_frame(big)
         encoder.close()
+
+
+def test_codec_encoder_that_exits_0_unread_fails_on_close(tmp_path):
+    """Frames still buffered when the command exits 0 without reading its
+    input make close() raise BrokenPipe instead of reporting success."""
+    header = StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8)
+    output = tmp_path / "out.enc"
+    encoder = CodecEncoder("sh -c ': > \"$0\"' {output}", output, header)
+    for i in range(2):
+        encoder.write_frame(gray_frame(np.zeros((16, 16), np.uint8), i))
+    assert encoder._proc.wait(timeout=10) == 0
+    with pytest.raises(BrokenPipe):
+        encoder.close()
+    assert output.read_bytes() == b""
 
 
 def test_codec_template_requires_placeholder(tmp_path):

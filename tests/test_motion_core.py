@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as npst
 
-from motionsieve import (
+from motionsieve import DimensionMismatch, MotionConfig, PixelFormat
+from motionsieve.motion_core import (
     AnalysisState,
-    DimensionMismatch,
-    MotionConfig,
     OutcomeKind,
     abs_diff,
     analyse,
@@ -21,7 +20,6 @@ from motionsieve import (
     to_grayscale,
     upscale_mask,
 )
-from motionsieve import PixelFormat
 from oracles import (
     oracle_apply_mask,
     oracle_dilate,

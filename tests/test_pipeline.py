@@ -21,8 +21,8 @@ from motionsieve import (
     read_sidecar,
     reference_compress,
     run_pipeline,
-    serialize_y4m_header,
 )
+from motionsieve.frame_io import serialize_y4m_header
 from motionsieve.motion_core import analyse
 from motionsieve.sidecar import SidecarWriter
 from synth import gray_frame, moving_square_luma, random_video

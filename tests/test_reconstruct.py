@@ -15,13 +15,12 @@ from motionsieve import (
     SidecarRecord,
     StreamHeader,
     Y4MReader,
-    env_frame,
-    rec_frame,
     reconstruct_files,
     reconstruct_stream,
     reference_compress,
-    to_grayscale,
 )
+from motionsieve.motion_core import to_grayscale
+from motionsieve.reconstruct import env_frame, rec_frame
 from synth import gray_frame, moving_square_video
 
 luma_arrays = hnp.arrays(

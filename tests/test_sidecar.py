@@ -43,6 +43,14 @@ def test_empty_sidecar_is_just_the_header():
     assert read_sidecar(io.StringIO(sink.getvalue())) == []
 
 
+def test_read_skips_a_blank_line():
+    blank = HEADER + "0,0,1\n\n7,1,0\n"
+    assert read_sidecar(io.StringIO(blank)) == [
+        SidecarRecord(0, 0, True),
+        SidecarRecord(7, 1, False),
+    ]
+
+
 def test_read_rejects_missing_header():
     with pytest.raises(MalformedRow):
         read_sidecar(io.StringIO("0,0,1\n"))
