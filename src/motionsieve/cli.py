@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import signal
 import sys
@@ -241,6 +242,10 @@ def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]
     """
     config, decode_cmd, encode_cmd = motion
     paths = prefix + (".enc" if encode_cmd else ".y4m"), prefix + ".csv"
+    if ns.input != "-" and os.path.isfile(ns.input):
+        for path in paths:
+            if os.path.isfile(path) and os.path.samefile(path, ns.input):
+                raise _UsageError(f"output {path} would replace --input {ns.input}")
     video_partial, sidecar_partial = (path + ".partial" for path in paths)
     with ExitStack() as streams:
         source = _open_source(ns, decode_cmd, streams)
@@ -339,6 +344,9 @@ def _compression_stats(ns) -> CompressionStats:
             raise _UsageError("--bytes-in and --bytes-out must be given together")
         if ns.frames_out < 0 or ns.frames_out > ns.frames_in:
             raise _UsageError("--frames-out must be in [0, --frames-in]")
+        for flag, total in ("--bytes-in", ns.bytes_in), ("--bytes-out", ns.bytes_out):
+            if total is not None and not 0 <= total < math.inf:
+                raise _UsageError(f"{flag} must be finite and >= 0")
         return CompressionStats(
             ns.frames_in, ns.frames_out, ns.bytes_in, ns.bytes_out
         )

@@ -331,35 +331,35 @@ def _read_frame_marker(stream: BinaryIO) -> bool:
 
 class Y4MWriter:
     """Frame sink serializing to Y4M.  The header line is written eagerly,
-    so an empty stream still yields a well-formed file.  A BrokenPipeError
-    from a write or a flush reaches the caller unchanged."""
+    so an empty stream still yields a well-formed file.  Every write and
+    flush goes through ``_guarded``: an OSError or ValueError becomes
+    SinkUnavailable, and a BrokenPipeError goes to ``_broken_pipe``, which
+    lets it reach the caller unchanged."""
 
     def __init__(self, stream: BinaryIO, header: StreamHeader):
         self._stream = stream
         self.header = header
-        self._write(serialize_y4m_header(header))
+        self._guarded(stream.write, serialize_y4m_header(header))
 
     def write_frame(self, frame: Frame) -> None:
         header = self.header
         check_geometry(frame, (header.width, header.height, header.pixel_format))
-        self._write(b"FRAME\n")
-        self._write(frame.data)
-
-    def _write(self, data: bytes) -> None:
-        try:
-            self._stream.write(data)
-        except BrokenPipeError:
-            raise
-        except (OSError, ValueError) as exc:
-            raise SinkUnavailable(str(exc)) from exc
+        self._guarded(self._stream.write, b"FRAME\n")
+        self._guarded(self._stream.write, frame.data)
 
     def flush(self) -> None:
+        self._guarded(self._stream.flush)
+
+    def _guarded(self, call, *args) -> None:
         try:
-            self._stream.flush()
-        except BrokenPipeError:
-            raise
+            call(*args)
+        except BrokenPipeError as exc:
+            self._broken_pipe(exc)
         except (OSError, ValueError) as exc:
             raise SinkUnavailable(str(exc)) from exc
+
+    def _broken_pipe(self, exc: BrokenPipeError) -> None:
+        raise exc
 
     def close(self) -> None:
         self.flush()
@@ -448,14 +448,13 @@ class _CodecChild:
     """
 
     _role = ""
-    _writes = False
 
     def __init__(self, template: str, path, *args):
         placeholder = check_template(self._role, template)
         argv = [
             token.replace(placeholder, str(path)) for token in shlex.split(template)
         ]
-        writes = self._writes
+        writes = self._role == "encode"
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -562,20 +561,7 @@ class CodecEncoder(_CodecChild, Y4MWriter):
     """
 
     _role = "encode"
-    _writes = True
 
-    def _write(self, data) -> None:
-        try:
-            super()._write(data)
-        except BrokenPipeError as exc:
-            self._closed_early(exc)
-
-    def flush(self) -> None:
-        try:
-            super().flush()
-        except BrokenPipeError as exc:
-            self._closed_early(exc)
-
-    def _closed_early(self, exc: BrokenPipeError) -> None:
+    def _broken_pipe(self, exc: BrokenPipeError) -> None:
         self._check_exit(exc)
         raise BrokenPipe("encode command closed its input early") from exc

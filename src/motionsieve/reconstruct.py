@@ -18,7 +18,7 @@ is never darker than the motion frame.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -105,13 +105,7 @@ def reconstruct_files(
         out_prefix + ".dl.y4m", out_prefix + ".fgbg.y4m", out_prefix + ".align.csv"
     )
     dl_partial, fgbg_partial, align_partial = (path + ".partial" for path in paths)
-    mono_header = StreamHeader(
-        header.width,
-        header.height,
-        header.fps_num,
-        header.fps_den,
-        PixelFormat.GRAY8,
-    )
+    mono_header = replace(header, pixel_format=PixelFormat.GRAY8, extra_tags=())
     with open(dl_partial, "wb") as dl_file, open(fgbg_partial, "wb") as fgbg_file, open(
         align_partial, "w", encoding="utf-8", newline=""
     ) as align_file:

@@ -27,11 +27,13 @@ def _as_decimal(value) -> Decimal:
 
 
 def _reduction_pct(total_in, total_out, what: str) -> float:
+    din, dout = _as_decimal(total_in), _as_decimal(total_out)
+    if not (din.is_finite() and dout.is_finite()):
+        raise ValueError(f"{what} totals must be finite")
     if total_in <= 0:
         raise ZeroInput(f"{what} input total is zero")
     if total_out < 0 or total_out > total_in:
         raise ValueError(f"{what} output total must be in [0, input total]")
-    din, dout = _as_decimal(total_in), _as_decimal(total_out)
     pct = (din - dout) / din * 100
     return float(pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 

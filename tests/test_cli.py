@@ -315,11 +315,21 @@ def test_argument_errors_keep_the_error_contract(argv):
          "yuv420 requires even width and height"),
         (["compress", "--raw-format", "gray8", "--size", "16x16", "--fps", "0"],
          None, "frame rate must be positive"),
+        (["stats", "--frames-in", "10", "--frames-out", "5",
+          "--bytes-in", "inf", "--bytes-out", "5"], None,
+         "--bytes-in must be finite and >= 0"),
+        (["stats", "--frames-in", "10", "--frames-out", "5",
+          "--bytes-in", "nan", "--bytes-out", "5"], None,
+         "--bytes-in must be finite and >= 0"),
+        (["stats", "--frames-in", "10", "--frames-out", "5",
+          "--bytes-in", "-3", "--bytes-out", "-5"], None,
+         "--bytes-in must be finite and >= 0"),
     ],
     ids=["config-missing", "config-directory", "config-without-equals",
          "bad-size", "raw-with-decode-cmd", "stdin-with-decode-cmd",
          "raw-without-processed", "config-not-an-int", "size-not-an-int",
-         "odd-yuv420-size", "zero-fps"],
+         "odd-yuv420-size", "zero-fps", "bytes-in-inf", "bytes-in-nan",
+         "bytes-negative"],
 )
 def test_argument_errors_found_after_parsing(tmp_path, argv, config, detail):
     """Argument errors caught past argparse, in the config file, the input
@@ -341,6 +351,31 @@ def test_argument_errors_found_after_parsing(tmp_path, argv, config, detail):
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert err.startswith("error: InvalidArgument: "), err
     assert detail in err
+
+
+@pytest.mark.parametrize(
+    "input_name, extra",
+    [("still.y4m", []), ("still.csv", []), ("still.enc", ["--encode-cmd", GZ_ENCODE])],
+    ids=["video", "sidecar", "encoded-video"],
+)
+def test_compress_refuses_an_output_that_would_replace_its_input(
+    tmp_path, input_name, extra
+):
+    """An output prefix whose video or sidecar path is the input file is an
+    argument error found before any stream opens: the input keeps its
+    bytes and no sidecar or *.partial file is left."""
+    src = tmp_path / input_name
+    write_static_y4m(src)
+    before = src.read_bytes()
+    argv = ["compress", "--input", str(src), "--output", str(tmp_path / "still")]
+    code, out, err = run_cli(argv + extra)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert err.startswith("error: InvalidArgument: "), err
+    assert "would replace --input" in err
+    assert src.read_bytes() == before
+    assert os.listdir(tmp_path) == [input_name]
 
 
 @pytest.mark.parametrize("quote", ["'", '"'])

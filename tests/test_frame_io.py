@@ -2,6 +2,8 @@ import errno
 import gzip
 import io
 import shlex
+import signal
+import subprocess
 import sys
 
 try:
@@ -33,6 +35,7 @@ from motionsieve import (
     Y4MWriter,
     count_y4m_frames,
 )
+from motionsieve import frame_io
 from motionsieve.frame_io import parse_y4m_header, serialize_y4m_header
 from synth import frames_to_y4m, gray_frame, random_frame
 
@@ -455,6 +458,15 @@ def test_count_y4m_frames(tmp_path):
     assert count_y4m_frames(path) == 7
 
 
+def test_count_y4m_frames_rejects_a_short_last_payload(tmp_path):
+    header = StreamHeader(6, 6, 30, 1, PixelFormat.GRAY8)
+    frames = [gray_frame(np.full((6, 6), i, np.uint8), i) for i in range(3)]
+    path = tmp_path / "short.y4m"
+    path.write_bytes(frames_to_y4m(header, frames)[:-10])
+    with pytest.raises(TruncatedFrame, match="last frame payload is short"):
+        count_y4m_frames(path)
+
+
 def test_codec_decoder_via_cat(tmp_path):
     header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
     rng = np.random.default_rng(11)
@@ -549,6 +561,36 @@ def test_codec_decoder_spawn_failure(tmp_path):
     path.write_bytes(b"data")
     with pytest.raises(SpawnFailure):
         CodecDecoder("definitely-not-a-real-codec-tool {input}", path)
+
+
+def test_codec_decoder_reaps_a_child_whose_output_is_not_y4m(tmp_path, monkeypatch):
+    """A header that fails to parse raises MalformedHeader, and the child,
+    which exited 0, is reaped before the error leaves the constructor."""
+    path = tmp_path / "hello.txt"
+    path.write_bytes(b"hello\n")
+    children = []
+
+    class RecordedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(frame_io.subprocess, "Popen", RecordedPopen)
+    with pytest.raises(MalformedHeader):
+        CodecDecoder("cat {input}", path)
+    assert [child.returncode for child in children] == [0]
+
+
+def test_codec_decoder_is_killed_when_its_block_raises(tmp_path):
+    """Leaving a ``with`` block by an exception kills a child that would
+    otherwise run on after its output was read."""
+    _, frames, path = _clip(tmp_path, count=2)
+    template = "sh -c 'cat \"$0\"; exec sleep 30' {input}"
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        with CodecDecoder(template, path) as decoder:
+            assert decoder.read().data == frames[0].data
+            raise RuntimeError("consumer failed")
+    assert decoder._proc.returncode == -signal.SIGKILL
 
 
 def test_codec_decoder_nonzero_exit(tmp_path):

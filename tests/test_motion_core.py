@@ -102,6 +102,11 @@ def test_downscale_identity():
     assert downscale(arr, 1) is arr
 
 
+def test_downscale_rejects_a_factor_below_one():
+    with pytest.raises(ValueError, match="downscale factor"):
+        downscale(np.zeros((4, 4), np.uint8), 0)
+
+
 def test_downscale_exact_block_mean():
     arr = np.array([[10, 20], [30, 40]], dtype=np.uint8)
     assert downscale(arr, 2)[0, 0] == 25
@@ -236,6 +241,11 @@ def test_dilate_zero_radius_is_identity():
     mask = np.zeros((4, 4), dtype=bool)
     mask[1, 2] = True
     assert dilate(mask, 0) is mask
+
+
+def test_dilate_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="dilation radius"):
+        dilate(np.ones((4, 4), bool), -1)
 
 
 def test_dilate_single_pixel_square():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -65,6 +67,16 @@ def test_reduction_zero_input():
         frame_reduction(0, 0)
     with pytest.raises(ZeroInput):
         size_reduction(0, 0)
+
+
+@pytest.mark.parametrize(
+    "bytes_in, bytes_out",
+    [(math.inf, 5), (math.nan, 5), (10, math.nan), (10, -math.inf)],
+    ids=["inf-in", "nan-in", "nan-out", "minus-inf-out"],
+)
+def test_size_reduction_rejects_totals_that_are_not_finite(bytes_in, bytes_out):
+    with pytest.raises(ValueError, match="totals must be finite"):
+        size_reduction(bytes_in, bytes_out)
 
 
 def test_reduction_rejects_growth():
