@@ -94,6 +94,19 @@ def _to_int(name: str, value) -> int:
         raise _UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _byte_total(text: str) -> int | float:
+    """A byte total as given: an int when written as one, so counts mode
+    prints whole totals as file mode and compress do, else a float."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
 def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -495,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("--frames-in", type=int)
     stats.add_argument("--frames-out", type=int)
-    stats.add_argument("--bytes-in", type=float)
-    stats.add_argument("--bytes-out", type=float)
+    stats.add_argument("--bytes-in", type=_byte_total)
+    stats.add_argument("--bytes-out", type=_byte_total)
     stats.add_argument("--raw", help="original video (Y4M) for file mode")
     stats.add_argument("--processed", help="compressed video (Y4M) for file mode")
     stats.add_argument("--sidecar", help="sidecar CSV, counted into bytes out")

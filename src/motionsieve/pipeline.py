@@ -1,11 +1,17 @@
-"""Three-stage concurrent compression pipeline.
+"""Concurrent stage runner, and the compression pipeline built on it.
 
-Reader, analysis, and writer run on their own threads, joined by FIFO
-queues bounded in frames and in bytes, so a slow stage applies
-backpressure instead of ballooning memory, whatever the frame size.  End
-of input is signalled by a sentinel that cascades down the queues.  On
-any stage error the others are cancelled promptly, the first error wins,
-and run_pipeline raises StageFailure wrapping it.
+_run_stages runs a source, zero or more folds and an emit on one thread
+per link, joined by FIFO queues bounded in frames and in bytes, so a slow
+stage applies backpressure instead of ballooning memory, whatever the
+frame size.  A stage pulls its next item only once the queue it feeds has
+room, so no stage holds an item it cannot hand on.  End of input is
+signalled by a sentinel that cascades down the queues.  On any stage error
+the others are cancelled promptly and the first error wins.
+
+run_pipeline is the compression run: reader, analysis and writer, the
+analysis fold being _kept.  It raises StageFailure wrapping the first
+error.  reconstruct_files runs the rebuild on the same runner, with no
+fold: read and rebuild on one thread, the three writes on the other.
 
 Queue bounds affect scheduling only: for any capacity >= 1 the emitted
 video and sidecar are byte-identical to the single-threaded
@@ -19,7 +25,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import StageFailure
 from .frame_io import Frame
@@ -52,7 +58,8 @@ class _Cancelled(Exception):
 
 def _payload(item) -> int:
     """Bytes of frame payload a queued item holds: a frame's, an outcome's
-    frame's, and none for the end-of-input sentinel."""
+    frame's, and none for anything else, such as the end-of-input
+    sentinel."""
     frame = item.frame if isinstance(item, AnalysisOutcome) else item
     return len(frame.data) if isinstance(frame, Frame) else 0
 
@@ -81,6 +88,15 @@ class _PayloadQueue(queue.Queue):
         item = super()._get()
         self.payload -= _payload(item)
         return item
+
+    def wait_for_room(self, timeout: float) -> None:
+        """Return once a put would not block; raise queue.Full if that
+        takes longer than ``timeout`` seconds."""
+        with self.not_full:
+            if not self.not_full.wait_for(
+                lambda: self._qsize() < self.maxsize, timeout
+            ):
+                raise queue.Full
 
 
 @dataclass(frozen=True)
@@ -132,11 +148,47 @@ def run_pipeline(
     waiting for a stage inside ``source`` or a sink: only the caller, by
     aborting them, can free such a stage.
     """
+
+    def emit(outcome) -> None:
+        video_sink.write_frame(outcome.frame)
+        sidecar_sink.write_row(outcome.record)
+
+    started = time.monotonic()
+    frames_in, frames_out, failure = _run_stages(
+        source, [("analysis", lambda frames: _kept(frames, config))], emit,
+        queue_capacity,
+    )
+    wall_time = max(time.monotonic() - started, 1e-9)
+    if failure is not None:
+        raise StageFailure(f"{type(failure).__name__}: {failure}") from failure
+    return PipelineReport(frames_in, frames_out, wall_time)
+
+
+def _run_stages(
+    source: Iterable,
+    folds: Sequence[tuple[str, Callable[[Iterator], Iterator]]],
+    emit: Callable[[object], None],
+    queue_capacity: int,
+) -> tuple[int, int, BaseException | None]:
+    """Run ``source`` through each ``(name, fold)`` in turn into ``emit``,
+    one thread per link.
+
+    The ``read`` stage iterates ``source``, each fold's stage maps the
+    items of the link before it to the items of its own, and the ``write``
+    stage calls ``emit`` on each item of the last link, in order.  A
+    _PayloadQueue of ``queue_capacity`` joins each link to the next, and a
+    stage pulls its next item only once the queue it feeds has room, so a
+    link holds at most its queue's items plus the one its consumer is on.
+    Iterating ``source`` and calling ``emit`` count as the caller's code.
+
+    Returns the items read, the items written and the first failure of any
+    stage, or None; after a failure every stage has stopped.  On an
+    interrupt, such as Ctrl-C, the interrupt is re-raised without waiting
+    for a stage inside the caller's code.
+    """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be >= 1")
 
-    frame_queue = _PayloadQueue(queue_capacity)
-    outcome_queue = _PayloadQueue(queue_capacity)
     stop = threading.Event()
     failure_lock = threading.Lock()
     failures: list[BaseException] = []
@@ -178,25 +230,26 @@ def run_pipeline(
         while (item := caller("read", next, items, _SENTINEL)) is not _SENTINEL:
             yield item
 
-    def emit(outcome) -> None:
-        video_sink.write_frame(outcome.frame)
-        sidecar_sink.write_row(outcome.record)
-
-    def drain(q: queue.Queue):
+    def drain(q: _PayloadQueue):
         while (item := poll(q.get)) is not _SENTINEL:
             yield item
 
-    def pump(items, q: queue.Queue) -> int:
+    def pump(items: Iterator, q: _PayloadQueue) -> int:
+        count = 0
+        while True:
+            # Only this stage puts on q, so the room it waited for is still
+            # there once the next item is pulled.
+            poll(q.wait_for_room)
+            item = next(items, _SENTINEL)
+            q.put_nowait(item)
+            if item is _SENTINEL:
+                return count
+            count += 1
+
+    def write(items) -> int:
         count = 0
         for count, item in enumerate(items, 1):
-            poll(q.put, item)
-        poll(q.put, _SENTINEL)
-        return count
-
-    def write(outcomes) -> int:
-        count = 0
-        for count, outcome in enumerate(outcomes, 1):
-            caller("write", emit, outcome)
+            caller("write", emit, item)
         return count
 
     def stage(name: str, body, *args) -> None:
@@ -218,11 +271,13 @@ def run_pipeline(
         threading.Thread(target=run, name=f"motionsieve-{name}").start()
         finished[name] = done
 
-    started = time.monotonic()
     try:
-        stage("read", pump, pull(source), frame_queue)
-        stage("analysis", pump, _kept(drain(frame_queue), config), outcome_queue)
-        stage("write", write, drain(outcome_queue))
+        link = _PayloadQueue(queue_capacity)
+        stage("read", pump, pull(source), link)
+        for name, fold in folds:
+            items, link = drain(link), _PayloadQueue(queue_capacity)
+            stage(name, pump, fold(items), link)
+        stage("write", write, drain(link))
         for done in finished.values():
             done.wait()
     except BaseException:
@@ -237,10 +292,6 @@ def run_pipeline(
         for name in [name for name in finished if name not in in_caller]:
             finished[name].wait(max(0.0, deadline - time.monotonic()))
         raise
-    wall_time = max(time.monotonic() - started, 1e-9)
 
-    if failures:
-        first = failures[0]
-        raise StageFailure(f"{type(first).__name__}: {first}") from first
-
-    return PipelineReport(results["read"], results["write"], wall_time)
+    failure = failures[0] if failures else None
+    return results.get("read", 0), results.get("write", 0), failure

@@ -17,6 +17,7 @@ is never darker than the motion frame.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import MissingReference, SidecarMismatch
 from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter
 from .motion_core import abs_diff, check_gray_pair, to_grayscale
+from .pipeline import _run_stages
 from .sidecar import SidecarRecord
 
 # The environment estimate |ref - mot| of equal-shape uint8 gray frames is
@@ -47,7 +49,9 @@ def rec_frame(env: np.ndarray, mot: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RebuiltFrame:
     """One reconstructed position: the stored color frame untouched, and
-    the grayscale frame with the environment filled back in."""
+    the grayscale frame with the environment filled back in.  ``restored``
+    is an array of its own, never a view into ``color``: a full row's is
+    a copy of its luma."""
 
     input_index: int
     is_full: bool
@@ -65,7 +69,8 @@ def reconstruct_stream(
     while iterating, since both inputs may be streams.
     """
     record_iter = iter(records)
-    # The most recent full frame, as grayscale.
+    # The most recent full frame's luma, copied so that it does not keep
+    # the whole color frame alive while it is the reference.
     reference: np.ndarray | None = None
     for frame in frames:
         record = next(record_iter, None)
@@ -73,7 +78,7 @@ def reconstruct_stream(
             raise SidecarMismatch("video has more frames than sidecar rows")
         gray = to_grayscale(frame)
         if record.full_frame:
-            reference = restored = gray
+            reference = restored = gray.copy()
         else:
             if reference is None:
                 raise MissingReference(
@@ -100,6 +105,10 @@ def reconstruct_files(
     paths.  Each is written as ``*.partial`` and renamed into place only
     after the whole stream succeeded, so a failed run leaves only
     ``*.partial`` files.
+
+    Runs on two threads: one reads ``frames`` and rebuilds each position,
+    the other writes the three files, with one rebuilt position queued
+    between them.  An error from either is raised here as it was raised.
     """
     paths = (
         out_prefix + ".dl.y4m", out_prefix + ".fgbg.y4m", out_prefix + ".align.csv"
@@ -112,7 +121,13 @@ def reconstruct_files(
         dl_writer = Y4MWriter(dl_file, header)
         fgbg_writer = Y4MWriter(fgbg_file, mono_header)
         align_file.write("position,input_frame\n")
-        for position, rebuilt in enumerate(reconstruct_stream(frames, records)):
+        # Positions are counted on the write side: an enumerate() on the
+        # read side would keep a third rebuilt position alive in its cached
+        # result tuple.
+        positions = itertools.count()
+
+        def emit(rebuilt: RebuiltFrame) -> None:
+            position = next(positions)
             dl_writer.write_frame(rebuilt.color)
             fgbg_writer.write_frame(
                 Frame(
@@ -124,6 +139,13 @@ def reconstruct_files(
                 )
             )
             align_file.write(f"{position},{rebuilt.input_index}\n")
+
+        # One queued position, so at most two are held at once: the one
+        # being written and the one queued.  Each holds a color frame and a
+        # gray one, 5.2 MB at 1080p YUV420, so every deeper slot costs that.
+        *_, failure = _run_stages(reconstruct_stream(frames, records), (), emit, 1)
+        if failure is not None:
+            raise failure
         dl_writer.flush()
         fgbg_writer.flush()
     for path in paths:

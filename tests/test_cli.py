@@ -705,6 +705,31 @@ def test_stats_file_mode(tmp_path):
     )
 
 
+def test_stats_counts_mode_prints_file_mode_json(tmp_path):
+    """Counts mode given the totals that file mode counted prints the same
+    JSON, whole byte totals as integers included."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    prefix = os.path.join(tmp_path, "comp")
+    code, _, err = run_cli(["compress", "--input", src, "--output", prefix])
+    assert code == 0, err
+    code, from_files, err = run_cli(
+        ["stats", "--raw", src, "--processed", prefix + ".y4m",
+         "--sidecar", prefix + ".csv", "--stats-json", "-"]
+    )
+    assert code == 0, err
+    counted = json.loads(from_files)
+    code, from_counts, err = run_cli(
+        ["stats", "--stats-json", "-"]
+        + [arg for key in ("frames_in", "frames_out", "bytes_in", "bytes_out")
+           for arg in ("--" + key.replace("_", "-"), str(counted[key]))]
+    )
+    assert code == 0, err
+    assert from_counts == from_files
+    given = json.loads(from_counts)
+    assert type(given["bytes_in"]) is type(given["bytes_out"]) is int
+
+
 def test_stats_file_mode_sidecar_mismatch(tmp_path):
     src = os.path.join(tmp_path, "sq.y4m")
     write_square_y4m(src)

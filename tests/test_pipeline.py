@@ -2,6 +2,8 @@ import contextlib
 import io
 import itertools
 import math
+import os
+import tempfile
 import threading
 from unittest import mock
 
@@ -19,13 +21,18 @@ from motionsieve import (
     Y4MReader,
     Y4MWriter,
     read_sidecar,
+    reconstruct_files,
+    reconstruct_stream,
     reference_compress,
     run_pipeline,
 )
 from motionsieve.frame_io import serialize_y4m_header
 from motionsieve.motion_core import analyse
+from motionsieve.reconstruct import env_frame, rec_frame
 from motionsieve.sidecar import SidecarWriter
-from synth import gray_frame, moving_square_luma, random_video
+from synth import (
+    frame_from_luma, frames_to_y4m, gray_frame, moving_square_luma, random_video,
+)
 
 VARIED_CONFIG = MotionConfig(
     threshold=20, downscale=2, buffer_radius=1,
@@ -446,12 +453,13 @@ def test_frames_larger_than_the_byte_budget_still_move():
     assert (report.frames_in, report.frames_out, sink.writes) == (3, 3, 3)
 
 
-def _resting_square():
+def _resting_square(pixel_format=PixelFormat.GRAY8):
     """A square that moves, rests, then moves again: the run drops frames,
     masks frames and promotes keyframes."""
     moves = moving_square_luma(16, 16, 16, size=4, step=2)
     patterns = moves[:8] + [moves[7]] * 8 + moves[8:]
-    return [gray_frame(pattern, i) for i, pattern in enumerate(patterns)]
+    return [frame_from_luma(pattern, pixel_format, i)
+            for i, pattern in enumerate(patterns)]
 
 
 _FAULT_FRAMES = _resting_square()
@@ -459,6 +467,14 @@ _FAULT_HEADER = StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8)
 _FAULT_VIDEO, _FAULT_SIDECAR = render_reference(
     _FAULT_HEADER, _FAULT_FRAMES, VARIED_CONFIG
 )
+
+
+def _assert_no_stage_thread():
+    for thread in threading.enumerate():
+        if thread.name.startswith("motionsieve-"):
+            thread.join(1.0)
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("motionsieve-") and t.is_alive()]
 
 
 def _failing_at(call, error, real, fired):
@@ -520,11 +536,7 @@ def test_injected_fault_stops_the_run_at_a_whole_prefix(
         else:
             assert fired == []
 
-    for thread in threading.enumerate():
-        if thread.name.startswith("motionsieve-"):
-            thread.join(1.0)
-    assert not [t.name for t in threading.enumerate()
-                if t.name.startswith("motionsieve-") and t.is_alive()]
+    _assert_no_stage_thread()
 
     got_video, got_sidecar = video.getvalue(), sidecar.getvalue()
     if not fired:
@@ -539,3 +551,113 @@ def test_injected_fault_stops_the_run_at_a_whole_prefix(
     assert _FAULT_SIDECAR.startswith(got_sidecar)
     rows = got_sidecar.count("\n") - 1
     assert 0 <= frames - rows <= 1
+
+
+# The stored video that reconstruct reads: color frames, so that the
+# pass-through (.dl) and rebuilt (.fgbg) writes differ in pixel format.
+_STORED_HEADER = StreamHeader(16, 16, 30, 1, PixelFormat.YUV420)
+_STORED, _STORED_ROWS = reference_compress(
+    _resting_square(PixelFormat.YUV420), VARIED_CONFIG
+)
+_STORED_VIDEO = frames_to_y4m(_STORED_HEADER, _STORED)
+_REBUILT_VIDEO = frames_to_y4m(
+    StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8),
+    [gray_frame(item.restored, position) for position, item
+     in enumerate(reconstruct_stream(_STORED, _STORED_ROWS))],
+)
+_ALIGN = "position,input_frame\n" + "".join(
+    f"{position},{row.input_frame}\n" for position, row in enumerate(_STORED_ROWS)
+)
+
+
+class _FailingWrites:
+    """A text file whose write() is ``write``."""
+
+    def __init__(self, handle, write):
+        self._handle = handle
+        self.write = write
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    site=st.sampled_from(["next", "env_frame", "rec_frame", "dl", "fgbg", "align"]),
+    call=st.integers(1, 20),
+    error_type=st.sampled_from([OSError, ValueError, RuntimeError, SinkUnavailable]),
+)
+def test_injected_fault_stops_reconstruct_at_a_whole_prefix(site, call, error_type):
+    """A failure raised at any call of the source, of a rebuild kernel or
+    of one of the three writes makes reconstruct_files raise that very
+    error, leaves only *.partial files, with the pass-through stream a
+    whole-frame prefix of the stored video, and leaves no stage thread
+    running.  A failure never reached changes nothing."""
+    error = error_type("injected")
+    fired = []
+    source = iter(_STORED)
+    with contextlib.ExitStack() as patches:
+        if site == "next":
+            source = iter(_failing_at(call, error, source.__next__, fired), None)
+        elif site in ("env_frame", "rec_frame"):
+            kernel = env_frame if site == "env_frame" else rec_frame
+            patches.enter_context(mock.patch(
+                f"motionsieve.reconstruct.{site}",
+                _failing_at(call, error, kernel, fired),
+            ))
+        elif site == "align":
+            def open_failing(path, *args, **kwargs):
+                handle = open(path, *args, **kwargs)
+                if not path.endswith(".align.csv.partial"):
+                    return handle
+                return _FailingWrites(
+                    handle, _failing_at(call, error, handle.write, fired)
+                )
+
+            patches.enter_context(mock.patch(
+                "motionsieve.reconstruct.open", open_failing, create=True
+            ))
+        else:
+            written = PixelFormat.YUV420 if site == "dl" else PixelFormat.GRAY8
+            real = Y4MWriter.write_frame
+            failing = _failing_at(call, error, real, fired)
+
+            def write_frame(self, frame):
+                pick = failing if frame.pixel_format is written else real
+                return pick(self, frame)
+
+            patches.enter_context(
+                mock.patch.object(Y4MWriter, "write_frame", write_frame)
+            )
+        out = patches.enter_context(tempfile.TemporaryDirectory())
+        prefix = os.path.join(out, "r")
+        try:
+            reconstruct_files(source, _STORED_HEADER, _STORED_ROWS, prefix)
+        except Exception as exc:
+            assert exc is error
+            assert fired == [error]
+        else:
+            assert fired == []
+        _assert_no_stage_thread()
+
+        suffixes = (".dl.y4m", ".fgbg.y4m", ".align.csv")
+        if not fired:
+            assert sorted(os.listdir(out)) == sorted("r" + s for s in suffixes)
+            got = []
+            for suffix in suffixes:
+                with open(prefix + suffix, "rb") as fh:
+                    got.append(fh.read())
+            assert got == [_STORED_VIDEO, _REBUILT_VIDEO, _ALIGN.encode()]
+            return
+        assert sorted(os.listdir(out)) == sorted(
+            "r" + s + ".partial" for s in suffixes
+        )
+        with open(prefix + ".dl.y4m.partial", "rb") as fh:
+            stored = fh.read()
+    header_bytes = len(serialize_y4m_header(_STORED_HEADER))
+    frame_bytes = len(b"FRAME\n") + _STORED_HEADER.frame_size()
+    assert (len(stored) - header_bytes) % frame_bytes == 0
+    assert stored == _STORED_VIDEO[:len(stored)]

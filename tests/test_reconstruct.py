@@ -1,5 +1,9 @@
 import io
+import itertools
 import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from motionsieve import (
     SidecarRecord,
     StreamHeader,
     Y4MReader,
+    Y4MWriter,
     reconstruct_files,
     reconstruct_stream,
     reference_compress,
@@ -249,3 +254,78 @@ def test_vanished_transient_rebuilds_reference_exactly():
     ]
     rebuilt = list(reconstruct_stream(kept, records))
     assert np.array_equal(rebuilt[2].restored, with_object)
+
+
+def test_reconstruct_holds_at_most_two_positions(tmp_path, monkeypatch):
+    """With a writer slower than the rebuild, the read side pulls a frame
+    only once the queue has room for it: frames pulled minus positions
+    written never exceeds two, the one being written and the one queued."""
+    header, kept, records = compressed_fixture(PixelFormat.YUV420)
+    pulled = written = 0
+    ahead = []
+
+    def counted():
+        nonlocal pulled
+        for frame in kept:
+            pulled += 1
+            ahead.append(pulled - written)
+            yield frame
+
+    write_frame = Y4MWriter.write_frame
+
+    def slow_write_frame(self, frame):
+        nonlocal written
+        time.sleep(0.01)
+        write_frame(self, frame)
+        # The rebuilt gray frame is a position's second and last frame.
+        if frame.pixel_format is PixelFormat.GRAY8:
+            written += 1
+
+    monkeypatch.setattr(Y4MWriter, "write_frame", slow_write_frame)
+    reconstruct_files(counted(), header, records, str(tmp_path / "r"))
+    assert written == len(kept)
+    assert max(ahead) == 2
+
+
+def test_ctrl_c_while_reconstructing_stops_both_threads(tmp_path):
+    """A real SIGINT that lands while reconstruct_files rebuilds an endless
+    stream propagates as KeyboardInterrupt, leaves only *.partial files
+    and leaves no stage thread running."""
+    header = StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8)
+    frame = gray_frame(np.full((16, 16), 7, np.uint8))
+    quit_source = threading.Event()
+
+    def endless():
+        # The event only ends the stream once the test is over, so a run
+        # that ignored the interrupt cannot outlive the test.
+        while not quit_source.is_set():
+            yield frame
+
+    rows = itertools.chain(
+        [SidecarRecord(0, 0, True)],
+        (SidecarRecord(i, i, False) for i in itertools.count(1)),
+    )
+
+    def stage_threads():
+        return [t.name for t in threading.enumerate()
+                if t.name.startswith("motionsieve-") and t.is_alive()]
+
+    timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT))
+    # pytest started with SIGINT ignored (a background job of a
+    # non-interactive shell) would drop the signal and rebuild forever.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        timer.start()
+        with pytest.raises(KeyboardInterrupt):
+            reconstruct_files(endless(), header, rows, str(tmp_path / "r"))
+        deadline = time.monotonic() + 1.0
+        while stage_threads() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert stage_threads() == []
+        assert sorted(os.listdir(tmp_path)) == [
+            "r.align.csv.partial", "r.dl.y4m.partial", "r.fgbg.y4m.partial"
+        ]
+    finally:
+        timer.cancel()
+        quit_source.set()
+        signal.signal(signal.SIGINT, previous)
