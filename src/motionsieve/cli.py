@@ -36,8 +36,8 @@ from .frame_io import (
 )
 from .motion_core import MotionConfig
 from .pipeline import PipelineReport, run_pipeline
-from .reconstruct import reconstruct_files
-from .sidecar import SidecarWriter, read_sidecar
+from .reconstruct import OUTPUT_SUFFIXES, reconstruct_files
+from .sidecar import SidecarWriter, _records
 from .stats import (
     CompressionStats,
     pixel_change_series,
@@ -227,11 +227,25 @@ def _open_source(ns, decode_cmd, streams: ExitStack):
     return _wrap_stream(streams.enter_context(_owned(open(ns.input, "rb"))), ns)
 
 
-def _then_close(frames, streams: ExitStack):
-    """Yield ``frames``, then close ``streams`` before reporting the end,
-    so a decoder's nonzero exit fails the consumer before it commits."""
-    yield from frames
-    streams.close()
+def _then_close(source):
+    """Yield the frames of ``source``, then close it before reporting the
+    end, so a decoder's nonzero exit fails the consumer before it commits.
+    Only ``source`` is closed: the caller's other streams stay open."""
+    yield from source
+    source.close()
+
+
+def _refuse_to_replace(outputs, inputs) -> None:
+    """Raise a usage error, before any stream opens, when an output path
+    or the ``*.partial`` written first is one of ``inputs``, given as
+    (flag, path) pairs: writing it would destroy that input."""
+    for flag, given in inputs:
+        if not os.path.isfile(given):
+            continue
+        for path in outputs:
+            for written in path, path + ".partial":
+                if os.path.isfile(written) and os.path.samefile(written, given):
+                    raise _UsageError(f"output {written} would replace {flag} {given}")
 
 
 def _emit(text: str, payload: str, dest: str | None) -> None:
@@ -255,10 +269,7 @@ def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]
     """
     config, decode_cmd, encode_cmd = motion
     paths = prefix + (".enc" if encode_cmd else ".y4m"), prefix + ".csv"
-    if ns.input != "-" and os.path.isfile(ns.input):
-        for path in paths:
-            if os.path.isfile(path) and os.path.samefile(path, ns.input):
-                raise _UsageError(f"output {path} would replace --input {ns.input}")
+    _refuse_to_replace(paths, [("--input", ns.input)])
     video_partial, sidecar_partial = (path + ".partial" for path in paths)
     with ExitStack() as streams:
         source = _open_source(ns, decode_cmd, streams)
@@ -308,12 +319,15 @@ def cmd_reconstruct(ns) -> int:
     decode_cmd = _checked_template("decode", ns.decode_cmd)
     _require_file(ns.input)
     _require_file(ns.sidecar)
-    with open(ns.sidecar, "r", encoding="utf-8", newline="") as handle:
-        records = read_sidecar(handle)
+    _refuse_to_replace(
+        [ns.output + suffix for suffix in OUTPUT_SUFFIXES],
+        [("--input", ns.input), ("--sidecar", ns.sidecar)],
+    )
     with ExitStack() as streams:
+        sidecar = streams.enter_context(open(ns.sidecar, encoding="utf-8", newline=""))
         source = _open_source(ns, decode_cmd, streams)
         paths = reconstruct_files(
-            _then_close(source, streams), source.header, records, ns.output
+            _then_close(source), source.header, _records(sidecar), ns.output
         )
     for path in paths:
         sys.stdout.write(f"{path}\n")
@@ -376,7 +390,7 @@ def _compression_stats(ns) -> CompressionStats:
             _require_file(ns.sidecar)
             bytes_out += os.path.getsize(ns.sidecar)
             with open(ns.sidecar, "r", encoding="utf-8", newline="") as handle:
-                rows = len(read_sidecar(handle))
+                rows = sum(1 for _ in _records(handle))
             if rows != frames_out:
                 raise SidecarMismatch(
                     f"sidecar has {rows} rows, video has {frames_out} frames"

@@ -30,6 +30,10 @@ from .motion_core import abs_diff, check_gray_pair, to_grayscale
 from .pipeline import _run_stages
 from .sidecar import SidecarRecord
 
+# What reconstruct_files appends to its output prefix: the color stream,
+# the rebuilt grayscale stream and the alignment table.
+OUTPUT_SUFFIXES = (".dl.y4m", ".fgbg.y4m", ".align.csv")
+
 # The environment estimate |ref - mot| of equal-shape uint8 gray frames is
 # the absolute difference that motion analysis thresholds.
 env_frame = abs_diff
@@ -110,9 +114,7 @@ def reconstruct_files(
     the other writes the three files, with one rebuilt position queued
     between them.  An error from either is raised here as it was raised.
     """
-    paths = (
-        out_prefix + ".dl.y4m", out_prefix + ".fgbg.y4m", out_prefix + ".align.csv"
-    )
+    paths = tuple(out_prefix + suffix for suffix in OUTPUT_SUFFIXES)
     dl_partial, fgbg_partial, align_partial = (path + ".partial" for path in paths)
     mono_header = replace(header, pixel_format=PixelFormat.GRAY8, extra_tags=())
     with open(dl_partial, "wb") as dl_file, open(fgbg_partial, "wb") as fgbg_file, open(

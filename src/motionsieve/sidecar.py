@@ -6,13 +6,17 @@ video, ``output_frame`` the 0-based position in the compressed video, and
 ``full_frame`` is 1 for unmasked reference frames, 0 for masked ones.
 Rows appear in emit order, so input indices are strictly increasing and
 output indices run 0, 1, 2, ... without gaps.
+
+Reading streams: ``_records`` validates and yields one row at a time, so
+a consumer holds one row whatever the sidecar's length; ``read_sidecar``
+collects them into a list.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import MalformedRow, NonMonotonicIndex
 
@@ -52,59 +56,59 @@ def write_sidecar(records: Iterable[SidecarRecord], sink: IO[str]) -> None:
 
 
 def read_sidecar(source: Iterable[str]) -> list[SidecarRecord]:
-    """Parse and validate a sidecar CSV.
+    """Parse and validate a whole sidecar CSV: the rows of ``_records`` as
+    one list, so every error it raises surfaces before this returns."""
+    return list(_records(source))
+
+
+def _records(source: Iterable[str]) -> Iterator[SidecarRecord]:
+    """Yield each row of a sidecar CSV, validated, as it is pulled.
 
     Raises MalformedRow for schema violations (bad header, wrong field
     count, non-integer or overlong values, flags outside {0, 1}) and for
     text that cannot be decoded or split into CSV rows, and
     NonMonotonicIndex when row order breaks the strictly-increasing-input /
-    consecutive-output invariants.
+    consecutive-output invariants.  Each error surfaces when the row that
+    holds it is pulled, after the rows before it were yielded.
     """
+    reader = csv.reader(source)
     try:
-        return _read_records(csv.reader(source))
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow("missing header row")
+        if tuple(header) != FIELDNAMES:
+            raise MalformedRow(f"bad header row {header!r}")
+        previous_input, yielded = -1, 0
+        for row_number, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise MalformedRow(f"row {row_number}: expected 3 fields, got {len(row)}")
+            for name, field in zip(FIELDNAMES, row):
+                if len(field) > _MAX_FIELD:
+                    raise MalformedRow(
+                        f"row {row_number}: {name} is too long ({len(field)} characters)"
+                    )
+            try:
+                input_frame, output_frame, flag = (int(field) for field in row)
+            except ValueError:
+                raise MalformedRow(f"row {row_number}: non-integer field") from None
+            if flag not in (0, 1):
+                raise MalformedRow(f"row {row_number}: full_frame must be 0 or 1")
+            if input_frame < 0:
+                raise MalformedRow(f"row {row_number}: negative input_frame")
+            if input_frame <= previous_input:
+                raise NonMonotonicIndex(
+                    f"row {row_number}: input_frame {input_frame} after {previous_input}"
+                )
+            if output_frame != yielded:
+                raise NonMonotonicIndex(
+                    f"row {row_number}: output_frame {output_frame}, expected {yielded}"
+                )
+            previous_input, yielded = input_frame, yielded + 1
+            yield SidecarRecord(input_frame, output_frame, bool(flag))
     except UnicodeDecodeError:
         # A text file decodes lazily, as rows are pulled.
         raise MalformedRow("sidecar is not UTF-8 text") from None
     except csv.Error as exc:
         raise MalformedRow(str(exc)) from None
-
-
-def _read_records(reader) -> list[SidecarRecord]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow("missing header row") from None
-    if tuple(header) != FIELDNAMES:
-        raise MalformedRow(f"bad header row {header!r}")
-
-    records: list[SidecarRecord] = []
-    previous_input = -1
-    for row_number, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MalformedRow(f"row {row_number}: expected 3 fields, got {len(row)}")
-        for name, field in zip(FIELDNAMES, row):
-            if len(field) > _MAX_FIELD:
-                raise MalformedRow(
-                    f"row {row_number}: {name} is too long ({len(field)} characters)"
-                )
-        try:
-            input_frame, output_frame, flag = (int(field) for field in row)
-        except ValueError:
-            raise MalformedRow(f"row {row_number}: non-integer field") from None
-        if flag not in (0, 1):
-            raise MalformedRow(f"row {row_number}: full_frame must be 0 or 1")
-        if input_frame < 0:
-            raise MalformedRow(f"row {row_number}: negative input_frame")
-        if input_frame <= previous_input:
-            raise NonMonotonicIndex(
-                f"row {row_number}: input_frame {input_frame} after {previous_input}"
-            )
-        if output_frame != len(records):
-            raise NonMonotonicIndex(
-                f"row {row_number}: output_frame {output_frame}, expected {len(records)}"
-            )
-        previous_input = input_frame
-        records.append(SidecarRecord(input_frame, output_frame, bool(flag)))
-    return records

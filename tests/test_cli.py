@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -21,10 +22,13 @@ from hypothesis import example, given, settings, strategies as st
 from motionsieve import (
     MotionConfig,
     PixelFormat,
+    SidecarRecord,
     StreamHeader,
     Y4MReader,
     cli,
+    count_y4m_frames,
     read_sidecar,
+    write_sidecar,
 )
 from motionsieve.frame_io import serialize_y4m_header
 from synth import frames_to_y4m, gray_frame, moving_square_video
@@ -355,8 +359,13 @@ def test_argument_errors_found_after_parsing(tmp_path, argv, config, detail):
 
 @pytest.mark.parametrize(
     "input_name, extra",
-    [("still.y4m", []), ("still.csv", []), ("still.enc", ["--encode-cmd", GZ_ENCODE])],
-    ids=["video", "sidecar", "encoded-video"],
+    [
+        ("still.y4m", []),
+        ("still.csv", []),
+        ("still.enc", ["--encode-cmd", GZ_ENCODE]),
+        ("still.y4m.partial", []),
+    ],
+    ids=["video", "sidecar", "encoded-video", "video-partial"],
 )
 def test_compress_refuses_an_output_that_would_replace_its_input(
     tmp_path, input_name, extra
@@ -376,6 +385,42 @@ def test_compress_refuses_an_output_that_would_replace_its_input(
     assert "would replace --input" in err
     assert src.read_bytes() == before
     assert os.listdir(tmp_path) == [input_name]
+
+
+@pytest.mark.parametrize(
+    "input_name, sidecar_name, flag",
+    [
+        ("x.dl.y4m", "comp.csv", "--input"),
+        ("x.fgbg.y4m", "comp.csv", "--input"),
+        ("comp.y4m", "x.align.csv", "--sidecar"),
+        ("x.dl.y4m.partial", "comp.csv", "--input"),
+        ("comp.y4m", "x.align.csv.partial", "--sidecar"),
+    ],
+    ids=["color", "gray", "align", "color-partial", "align-partial"],
+)
+def test_reconstruct_refuses_an_output_that_would_replace_its_input(
+    tmp_path, input_name, sidecar_name, flag
+):
+    """An output prefix whose .dl.y4m, .fgbg.y4m or .align.csv (or its
+    *.partial) is the input video or the sidecar is an argument error found
+    before any stream opens: both inputs keep their bytes and nothing is
+    written."""
+    _, prefix = _compressed_pair(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    os.replace(prefix + ".y4m", work / input_name)
+    os.replace(prefix + ".csv", work / sidecar_name)
+    before = {name: (work / name).read_bytes() for name in os.listdir(work)}
+    code, out, err = run_cli(
+        ["reconstruct", "--input", str(work / input_name),
+         "--sidecar", str(work / sidecar_name), "--output", str(work / "x")]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert err.startswith("error: InvalidArgument: "), err
+    assert f"would replace {flag}" in err
+    assert {name: (work / name).read_bytes() for name in os.listdir(work)} == before
 
 
 @pytest.mark.parametrize("quote", ["'", '"'])
@@ -1189,6 +1234,122 @@ def test_reconstruct_decoder_failure_after_stream_leaves_partials(tmp_path):
     for suffix in (".dl.y4m", ".fgbg.y4m", ".align.csv"):
         assert os.path.exists(rebuilt + suffix + ".partial")
         assert not os.path.exists(rebuilt + suffix)
+
+
+def test_reconstruct_malformed_last_row_fails_mid_run(tmp_path):
+    """The sidecar is read one row at a time as frames are rebuilt, so a
+    malformed last row fails the run after the rows before it were
+    written: only *.partial files are left, and the color one holds
+    whole frames."""
+    _, prefix = _compressed_pair(tmp_path)
+    with open(prefix + ".csv", encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(prefix + ".csv", "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:-1] + ["7,x,0\n"])
+    rows = len(lines) - 1
+    # Each rebuilt position is pulled only once the one before the last
+    # was written, so every row but the last two reached the files.
+    assert rows >= 4
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rebuilt = str(out_dir / "r")
+    code, out, err = run_cli(
+        ["reconstruct", "--input", prefix + ".y4m", "--sidecar", prefix + ".csv",
+         "--output", rebuilt]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: MalformedRow:"), err
+    assert sorted(os.listdir(out_dir)) == [
+        "r.align.csv.partial", "r.dl.y4m.partial", "r.fgbg.y4m.partial"
+    ]
+    assert count_y4m_frames(rebuilt + ".dl.y4m.partial") >= rows - 2
+
+
+def test_reconstruct_extra_sidecar_row_through_decoder_leaves_partials(tmp_path):
+    """A sidecar with one row more than the decoded video is found only
+    after the decoder's stream ended and the read stage closed it; the
+    sidecar, still being read, stays open, and the run fails with one
+    SidecarMismatch line."""
+    _, prefix = _compressed_pair(tmp_path)
+    with open(prefix + ".csv", encoding="utf-8") as fh:
+        last = read_sidecar(fh)[-1]
+    with open(prefix + ".csv", "a", encoding="utf-8") as fh:
+        fh.write(f"{last.input_frame + 1},{last.output_frame + 1},0\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run_cli(
+        ["reconstruct", "--input", prefix + ".y4m", "--sidecar", prefix + ".csv",
+         "--output", str(out_dir / "r"), "--decode-cmd", "cat {input}"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: SidecarMismatch: sidecar has more rows than video frames\n"
+    left = os.listdir(out_dir)
+    assert left and all(name.endswith(".partial") for name in left), left
+
+
+def _tiny_run(folder, count):
+    """A 4x4 GRAY8 video of ``count`` frames and its sidecar, one full row
+    then masked ones, as the paths (video, sidecar)."""
+    header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
+    video, sidecar = os.path.join(folder, "tiny.y4m"), os.path.join(folder, "tiny.csv")
+    with open(video, "wb") as fh:
+        fh.write(serialize_y4m_header(header))
+        for index in range(count):
+            fh.write(b"FRAME\n" + bytes([index % 251]) * 16)
+    with open(sidecar, "w", encoding="utf-8", newline="") as fh:
+        write_sidecar(
+            (SidecarRecord(index, index, index == 0) for index in range(count)), fh
+        )
+    return video, sidecar
+
+
+def _peak_bytes(argv) -> int:
+    """The tracemalloc peak over ``main(argv)``, which must succeed."""
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    return peak
+
+
+# Rows in the short and in the long run of the streaming tests, and the
+# growth in peak bytes the tenfold longer run may show.  A list of the rows
+# costs about 160 bytes a row, some 1.4 MB more for the long run.
+_SHORT_RUN, _LONG_RUN = 1_000, 10_000
+_FLAT_BYTES = 256 * 1024
+
+
+def _peaks(tmp_path, argv_for):
+    peaks = []
+    for count in _SHORT_RUN, _LONG_RUN:
+        folder = tmp_path / str(count)
+        folder.mkdir()
+        peaks.append(_peak_bytes(argv_for(folder, *_tiny_run(folder, count))))
+    return peaks
+
+
+def test_reconstruct_holds_one_sidecar_row_at_a_time(tmp_path):
+    """reconstruct pulls sidecar rows as it rebuilds frames: its peak
+    memory stays flat when the run grows tenfold."""
+    short, long = _peaks(tmp_path, lambda folder, video, sidecar: [
+        "reconstruct", "--input", video, "--sidecar", sidecar,
+        "--output", str(folder / "r"),
+    ])
+    assert long - short < _FLAT_BYTES, (short, long)
+
+
+def test_stats_file_mode_holds_one_sidecar_row_at_a_time(tmp_path):
+    """stats file mode counts sidecar rows without keeping them: its peak
+    memory stays flat when the run grows tenfold."""
+    short, long = _peaks(tmp_path, lambda folder, video, sidecar: [
+        "stats", "--raw", video, "--processed", video, "--sidecar", sidecar,
+    ])
+    assert long - short < _FLAT_BYTES, (short, long)
 
 
 def test_rejected_header_closes_input(tmp_path):
