@@ -15,6 +15,7 @@ import inspect
 import math
 import os
 import signal
+import stat
 import sys
 import tempfile
 import threading
@@ -32,11 +33,12 @@ from .frame_io import (
     Y4MReader,
     Y4MWriter,
     check_template,
+    committed,
     count_y4m_frames,
 )
 from .motion_core import MotionConfig
 from .pipeline import PipelineReport, run_pipeline
-from .reconstruct import OUTPUT_SUFFIXES, reconstruct_files
+from .reconstruct import OUTPUT_SUFFIXES, _write_playback
 from .sidecar import SidecarWriter, _records
 from .stats import (
     CompressionStats,
@@ -227,12 +229,14 @@ def _open_source(ns, decode_cmd, streams: ExitStack):
     return _wrap_stream(streams.enter_context(_owned(open(ns.input, "rb"))), ns)
 
 
-def _then_close(source):
-    """Yield the frames of ``source``, then close it before reporting the
-    end, so a decoder's nonzero exit fails the consumer before it commits.
-    Only ``source`` is closed: the caller's other streams stay open."""
-    yield from source
-    source.close()
+def _file_stat(path: str | None) -> os.stat_result | None:
+    """The stat of the regular file at ``path``, or of stdin's for "-";
+    None for anything else, such as a pipe or a stdin with no descriptor."""
+    try:
+        found = os.fstat(sys.stdin.fileno()) if path == "-" else os.stat(path)
+    except (OSError, ValueError, TypeError, AttributeError):
+        return None
+    return found if stat.S_ISREG(found.st_mode) else None
 
 
 def _refuse_to_replace(outputs, inputs) -> None:
@@ -240,11 +244,11 @@ def _refuse_to_replace(outputs, inputs) -> None:
     or the ``*.partial`` written first is one of ``inputs``, given as
     (flag, path) pairs: writing it would destroy that input."""
     for flag, given in inputs:
-        if not os.path.isfile(given):
+        if (source := _file_stat(given)) is None:
             continue
         for path in outputs:
             for written in path, path + ".partial":
-                if os.path.isfile(written) and os.path.samefile(written, given):
+                if (target := _file_stat(written)) and os.path.samestat(target, source):
                     raise _UsageError(f"output {written} would replace {flag} {given}")
 
 
@@ -260,18 +264,13 @@ def _emit(text: str, payload: str, dest: str | None) -> None:
 
 
 def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]:
-    """Compress the input into <prefix>.y4m (or .enc) and <prefix>.csv.
-
-    Both are written as *.partial and renamed into place only after every
-    stream closed cleanly; a crashed run leaves the *.partial files behind
-    so it is never mistaken for a complete one.  Returns the run's report
-    and the two final paths.
-    """
+    """Compress the input into <prefix>.y4m (or .enc) and <prefix>.csv,
+    committed only once every stream closed cleanly.  Returns the run's
+    report and the two final paths."""
     config, decode_cmd, encode_cmd = motion
     paths = prefix + (".enc" if encode_cmd else ".y4m"), prefix + ".csv"
-    _refuse_to_replace(paths, [("--input", ns.input)])
-    video_partial, sidecar_partial = (path + ".partial" for path in paths)
-    with ExitStack() as streams:
+    _refuse_to_replace(paths, [("--input", ns.input), ("--config", ns.config)])
+    with committed(paths) as (video_partial, sidecar_partial), ExitStack() as streams:
         source = _open_source(ns, decode_cmd, streams)
         if encode_cmd:
             video_sink = CodecEncoder(encode_cmd, video_partial, source.header)
@@ -283,8 +282,6 @@ def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]
         report = run_pipeline(
             source, config, video_sink, SidecarWriter(sidecar_file)
         )
-    for path in paths:
-        os.replace(path + ".partial", path)
     return report, paths
 
 
@@ -319,16 +316,12 @@ def cmd_reconstruct(ns) -> int:
     decode_cmd = _checked_template("decode", ns.decode_cmd)
     _require_file(ns.input)
     _require_file(ns.sidecar)
-    _refuse_to_replace(
-        [ns.output + suffix for suffix in OUTPUT_SUFFIXES],
-        [("--input", ns.input), ("--sidecar", ns.sidecar)],
-    )
-    with ExitStack() as streams:
+    paths = [ns.output + suffix for suffix in OUTPUT_SUFFIXES]
+    _refuse_to_replace(paths, [("--input", ns.input), ("--sidecar", ns.sidecar)])
+    with committed(paths) as partials, ExitStack() as streams:
         sidecar = streams.enter_context(open(ns.sidecar, encoding="utf-8", newline=""))
         source = _open_source(ns, decode_cmd, streams)
-        paths = reconstruct_files(
-            _then_close(source), source.header, _records(sidecar), ns.output
-        )
+        _write_playback(source, source.header, _records(sidecar), partials)
     for path in paths:
         sys.stdout.write(f"{path}\n")
     return 0

@@ -29,9 +29,10 @@ import shlex
 import signal
 import subprocess
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, Sequence
 
 try:
     import fcntl
@@ -403,6 +404,17 @@ def count_y4m_frames(path) -> int:
         return count
 
 
+@contextmanager
+def committed(paths: Sequence[str]) -> Iterator[list[str]]:
+    """Yield the ``*.partial`` name each of ``paths`` is written under, and
+    rename them all into place once the block ends without an error, so a
+    failed run leaves only ``*.partial`` files.  Close every stream inside
+    the block, so that a failed close, such as a codec's exit, stops it."""
+    yield [path + ".partial" for path in paths]
+    for path in paths:
+        os.replace(path + ".partial", path)
+
+
 class _StderrDrain(threading.Thread):
     """Drains a child's stderr so it can never block, keeping the tail."""
 
@@ -503,6 +515,9 @@ class _CodecChild:
     def _check_exit(self, cause: BaseException | None = None) -> None:
         rc = self._reap()
         if rc != 0:
+            # Only a reported tail waits for stderr's end: a grandchild
+            # left running can hold it open long after the child exited.
+            self._stderr.join(timeout=5.0)
             detail = self._stderr.text()
             message = f"{self._role} command exited with status {rc}"
             raise NonZeroExit(f"{message}: {detail}" if detail else message) from cause
@@ -512,9 +527,7 @@ class _CodecChild:
             self._pipe.close()
         except OSError:
             pass
-        rc = self._proc.wait()
-        self._stderr.join(timeout=5.0)
-        return rc
+        return self._proc.wait()
 
     def __enter__(self):
         return self

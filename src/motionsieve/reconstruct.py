@@ -18,14 +18,13 @@ is never darker than the motion frame.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import MissingReference, SidecarMismatch
-from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter
+from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter, committed
 from .motion_core import abs_diff, check_gray_pair, to_grayscale
 from .pipeline import _run_stages
 from .sidecar import SidecarRecord
@@ -108,14 +107,23 @@ def reconstruct_files(
     mapping output position to source frame index.  Returns the three
     paths.  Each is written as ``*.partial`` and renamed into place only
     after the whole stream succeeded, so a failed run leaves only
-    ``*.partial`` files.
-
-    Runs on two threads: one reads ``frames`` and rebuilds each position,
-    the other writes the three files, with one rebuilt position queued
-    between them.  An error from either is raised here as it was raised.
+    ``*.partial`` files.  Nothing passed in is closed here.
     """
     paths = tuple(out_prefix + suffix for suffix in OUTPUT_SUFFIXES)
-    dl_partial, fgbg_partial, align_partial = (path + ".partial" for path in paths)
+    with committed(paths) as partials:
+        _write_playback(frames, header, records, partials)
+    return paths
+
+
+def _write_playback(
+    frames: Iterable[Frame], header: StreamHeader,
+    records: Iterable[SidecarRecord], partials: Sequence[str],
+) -> None:
+    """The writing half of reconstruct_files, which renames nothing: one
+    thread reads ``frames`` and rebuilds each position, the other writes
+    the three files to ``partials``, in OUTPUT_SUFFIXES order, with one
+    position queued between them.  An error from either is raised here."""
+    dl_partial, fgbg_partial, align_partial = partials
     mono_header = replace(header, pixel_format=PixelFormat.GRAY8, extra_tags=())
     with open(dl_partial, "wb") as dl_file, open(fgbg_partial, "wb") as fgbg_file, open(
         align_partial, "w", encoding="utf-8", newline=""
@@ -150,6 +158,3 @@ def reconstruct_files(
             raise failure
         dl_writer.flush()
         fgbg_writer.flush()
-    for path in paths:
-        os.replace(path + ".partial", path)
-    return paths

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -30,7 +31,7 @@ from motionsieve import (
     read_sidecar,
     write_sidecar,
 )
-from motionsieve.frame_io import serialize_y4m_header
+from motionsieve.frame_io import _CodecChild, serialize_y4m_header
 from synth import frames_to_y4m, gray_frame, moving_square_video
 
 GZ_DECODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec decode {{input}}"
@@ -385,6 +386,47 @@ def test_compress_refuses_an_output_that_would_replace_its_input(
     assert "would replace --input" in err
     assert src.read_bytes() == before
     assert os.listdir(tmp_path) == [input_name]
+
+
+def test_compress_refuses_an_output_that_would_replace_its_stdin(tmp_path):
+    """With --input -, an output path that is the file redirected to stdin
+    is an argument error found before any stream opens: the footage keeps
+    its bytes and nothing is written."""
+    src = tmp_path / "clip.y4m"
+    write_static_y4m(src)
+    before = src.read_bytes()
+    with open(src, "rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "motionsieve.cli", "compress", "--input", "-",
+             "--output", str(tmp_path / "clip")],
+            stdin=stdin, capture_output=True,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert proc.stdout == b""
+    assert err.count("\n") == 1 and err.startswith("error: InvalidArgument: "), err
+    assert "would replace --input -" in err
+    assert src.read_bytes() == before
+    assert os.listdir(tmp_path) == ["clip.y4m"]
+
+
+def test_compress_refuses_an_output_that_would_replace_its_config(tmp_path):
+    """An output path that is the --config file is an argument error found
+    before any stream opens: the config keeps its bytes."""
+    src = tmp_path / "clip.y4m"
+    write_static_y4m(src)
+    config = tmp_path / "cfg.csv"
+    config.write_text("threshold = 20\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["compress", "--input", str(src), "--output", str(tmp_path / "cfg"),
+         "--config", str(config)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: InvalidArgument: "), err
+    assert "would replace --config" in err
+    assert config.read_text(encoding="utf-8") == "threshold = 20\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.csv", "clip.y4m"]
 
 
 @pytest.mark.parametrize(
@@ -1268,9 +1310,8 @@ def test_reconstruct_malformed_last_row_fails_mid_run(tmp_path):
 
 def test_reconstruct_extra_sidecar_row_through_decoder_leaves_partials(tmp_path):
     """A sidecar with one row more than the decoded video is found only
-    after the decoder's stream ended and the read stage closed it; the
-    sidecar, still being read, stays open, and the run fails with one
-    SidecarMismatch line."""
+    after the decoder's stream ended; the sidecar, still being read, stays
+    open, and the run fails with one SidecarMismatch line."""
     _, prefix = _compressed_pair(tmp_path)
     with open(prefix + ".csv", encoding="utf-8") as fh:
         last = read_sidecar(fh)[-1]
@@ -1287,6 +1328,56 @@ def test_reconstruct_extra_sidecar_row_through_decoder_leaves_partials(tmp_path)
     assert err == "error: SidecarMismatch: sidecar has more rows than video frames\n"
     left = os.listdir(out_dir)
     assert left and all(name.endswith(".partial") for name in left), left
+
+
+@pytest.mark.parametrize(
+    "decode_cmd, extra_row, category",
+    [
+        ("cat {input}", False, None),
+        ("sh -c 'cat {input}; exit 3'", False, "NonZeroExit"),
+        ("cat {input}", True, "SidecarMismatch"),
+    ],
+    ids=["exit-0", "exit-3", "extra-row"],
+)
+def test_reconstruct_closes_its_decoder_on_the_calling_thread(
+    tmp_path, monkeypatch, decode_cmd, extra_row, category
+):
+    """Only the thread that called main() closes or aborts reconstruct's
+    decoder, and an abort never meets a child that was already reaped:
+    when the run succeeds, when the decoder exits nonzero after a whole
+    stream, and when the sidecar has one row more than the video."""
+    _, prefix = _compressed_pair(tmp_path)
+    if extra_row:
+        with open(prefix + ".csv", encoding="utf-8") as fh:
+            last = read_sidecar(fh)[-1]
+        with open(prefix + ".csv", "a", encoding="utf-8") as fh:
+            fh.write(f"{last.input_frame + 1},{last.output_frame + 1},0\n")
+    calls = []
+
+    def record(name):
+        method = getattr(_CodecChild, name)
+
+        def recorded(self):
+            thread = threading.current_thread().name
+            calls.append((name, thread, self._proc.returncode))
+            return method(self)
+
+        monkeypatch.setattr(_CodecChild, name, recorded)
+
+    record("close")
+    record("abort")
+    code, _, err = run_cli(
+        ["reconstruct", "--input", prefix + ".y4m", "--sidecar", prefix + ".csv",
+         "--output", str(tmp_path / "r"), "--decode-cmd", decode_cmd]
+    )
+    if category is None:
+        assert code == 0, err
+    else:
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {category}:"), err
+    assert calls
+    assert {thread for _, thread, _ in calls} == {threading.main_thread().name}, calls
+    assert all(rc is None for name, _, rc in calls if name == "abort"), calls
 
 
 def _tiny_run(folder, count):

@@ -1,10 +1,12 @@
 import errno
 import gzip
 import io
+import os
 import shlex
 import signal
 import subprocess
 import sys
+import time
 
 try:
     import fcntl
@@ -591,6 +593,25 @@ def test_codec_decoder_is_killed_when_its_block_raises(tmp_path):
             assert decoder.read().data == frames[0].data
             raise RuntimeError("consumer failed")
     assert decoder._proc.returncode == -signal.SIGKILL
+
+
+def test_codec_decoder_close_does_not_wait_for_a_grandchild(tmp_path):
+    """A decoder that exits 0 closes at once even when a process it forked
+    still holds its stderr open: the stderr tail is waited for only when
+    a nonzero status reports it."""
+    _, frames, path = _clip(tmp_path, count=12)
+    decoder = CodecDecoder("sh -c 'cat \"$0\"; sleep 8 >/dev/null &' {input}", path)
+    try:
+        assert len(list(decoder)) == len(frames)
+        started = time.monotonic()
+        decoder.close()
+        assert time.monotonic() - started < 2.0
+    finally:
+        try:
+            os.killpg(decoder._proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        decoder._stderr.join(timeout=5.0)
 
 
 def test_codec_decoder_nonzero_exit(tmp_path):
