@@ -19,7 +19,7 @@ import stat
 import sys
 import tempfile
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import fields
 from statistics import fmean, stdev
 
@@ -32,6 +32,7 @@ from .frame_io import (
     StreamHeader,
     Y4MReader,
     Y4MWriter,
+    _Stream,
     check_template,
     committed,
     count_y4m_frames,
@@ -183,50 +184,40 @@ def _parse_fps(text: str | None) -> tuple[int, int]:
     return _to_int("fps", num), _to_int("fps", den)
 
 
-def _wrap_stream(stream, ns):
-    if getattr(ns, "raw_format", None):
-        if not ns.size:
-            raise _UsageError("--raw-format requires --size WxH")
-        width, height = _parse_size(ns.size)
-        fps_num, fps_den = _parse_fps(ns.fps)
-        try:
-            header = StreamHeader(
-                width, height, fps_num, fps_den, PixelFormat(ns.raw_format)
-            )
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        return RawReader(stream, header)
-    return Y4MReader(stream)
-
-
-@contextmanager
-def _owned(stream):
-    """Close ``stream`` after the block; if the block raised, abort it
-    instead (codec children are killed) and keep the block's error."""
+def _reader(ns):
+    """What builds a frame reader over a binary stream per the flags: a
+    RawReader with --raw-format, else a Y4MReader."""
+    if not getattr(ns, "raw_format", None):
+        return Y4MReader
+    if not ns.size:
+        raise _UsageError("--raw-format requires --size WxH")
+    width, height = _parse_size(ns.size)
+    fps_num, fps_den = _parse_fps(ns.fps)
     try:
-        yield stream
-    except BaseException:
-        try:
-            getattr(stream, "abort", stream.close)()
-        except Exception:
-            pass
-        raise
-    stream.close()
+        header = StreamHeader(
+            width, height, fps_num, fps_den, PixelFormat(ns.raw_format)
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return lambda stream: RawReader(stream, header)
 
 
 def _open_source(ns, decode_cmd, streams: ExitStack):
-    """Open the input per flags as a frame source whose streams
-    ``streams`` owns; stdin is not ours to close."""
+    """Open the input per flags as a frame source that ``streams`` ends;
+    stdin is not ours to close, though a header that fails to parse
+    closes it, as it does any reader's stream."""
     if decode_cmd and getattr(ns, "raw_format", None):
         raise _UsageError("--raw-format cannot be combined with --decode-cmd")
     if ns.input == "-":
         if decode_cmd:
             raise _UsageError("--decode-cmd needs a real input file, not -")
-        return _wrap_stream(sys.stdin.buffer, ns)
+        return _reader(ns)(sys.stdin.buffer)
     _require_file(ns.input)
     if decode_cmd:
-        return streams.enter_context(_owned(CodecDecoder(decode_cmd, ns.input)))
-    return _wrap_stream(streams.enter_context(_owned(open(ns.input, "rb"))), ns)
+        return streams.enter_context(CodecDecoder(decode_cmd, ns.input))
+    # Chosen before the open, so that a flag error leaves no file open.
+    reader = _reader(ns)
+    return streams.enter_context(reader(open(ns.input, "rb")))
 
 
 def _file_stat(path: str | None) -> os.stat_result | None:
@@ -276,12 +267,11 @@ def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]
             video_sink = CodecEncoder(encode_cmd, video_partial, source.header)
         else:
             video_sink = Y4MWriter(open(video_partial, "wb"), source.header)
-        streams.enter_context(_owned(video_sink))
-        sidecar_file = open(sidecar_partial, "w", encoding="utf-8", newline="")
-        streams.enter_context(_owned(sidecar_file))
-        report = run_pipeline(
-            source, config, video_sink, SidecarWriter(sidecar_file)
+        streams.enter_context(video_sink)
+        sidecar_sink = streams.enter_context(
+            SidecarWriter(open(sidecar_partial, "w", encoding="utf-8", newline=""))
         )
+        report = run_pipeline(source, config, video_sink, sidecar_sink)
     return report, paths
 
 
@@ -319,7 +309,8 @@ def cmd_reconstruct(ns) -> int:
     paths = [ns.output + suffix for suffix in OUTPUT_SUFFIXES]
     _refuse_to_replace(paths, [("--input", ns.input), ("--sidecar", ns.sidecar)])
     with committed(paths) as partials, ExitStack() as streams:
-        sidecar = streams.enter_context(open(ns.sidecar, encoding="utf-8", newline=""))
+        sidecar = open(ns.sidecar, encoding="utf-8", newline="")
+        streams.enter_context(_Stream(sidecar))
         source = _open_source(ns, decode_cmd, streams)
         _write_playback(source, source.header, _records(sidecar), partials)
     for path in paths:

@@ -256,13 +256,66 @@ def _read_exact(stream: BinaryIO, size: int) -> bytes:
     return b"".join(chunks)
 
 
-class _FrameReader:
+class _Stream:
+    """Owns a stream and ends it one way.  A ``with`` block closes it when
+    the block succeeds and aborts it when the block raises, so the block's
+    error is the one that leaves.  close() finishes the stream (a writer
+    flushes) and releases it, but aborts and re-raises when finishing
+    fails: a second flush into a codec child that stalled without reading
+    would block.  abort() releases the stream unfinished and lets no
+    Exception out.  A failed start, such as a Y4M header read or write,
+    aborts too.  Used directly, it owns a plain file."""
+
+    def __init__(self, stream, *args):
+        self._stream = stream
+        self._or_abort(self._start, *args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
+
+    def close(self) -> None:
+        self._or_abort(self._finish)
+        self._release()
+
+    def abort(self) -> None:
+        try:
+            self._end(kill=True)
+        except Exception:
+            pass
+
+    def _or_abort(self, step, *args) -> None:
+        try:
+            step(*args)
+        except BaseException:
+            self.abort()
+            raise
+
+    def _start(self) -> None:
+        """Begin the stream once it is owned; nothing by default."""
+
+    def _finish(self) -> None:
+        """Write out what is buffered; nothing by default."""
+
+    def _release(self) -> None:
+        self._end(kill=False)
+
+    def _end(self, kill: bool) -> None:
+        """Let go of the stream; a plain stream has nothing to kill."""
+        self._stream.close()
+
+
+class _FrameReader(_Stream):
     """Sequential frame source over a binary stream.  Subclasses frame the
     stream in ``_payload``, which returns the next payload as read or None
     at end of stream; ``read`` checks its size and numbers the frames."""
 
-    def __init__(self, stream: BinaryIO, header: StreamHeader):
-        self._stream = stream
+    def _start(self, header: StreamHeader) -> None:
         self.header = header
         self._next_index = 0
 
@@ -288,9 +341,6 @@ class _FrameReader:
         while (frame := self.read()) is not None:
             yield frame
 
-    def close(self) -> None:
-        self._stream.close()
-
 
 class Y4MReader(_FrameReader):
     """Sequential frame reader over a binary Y4M stream.
@@ -299,8 +349,8 @@ class Y4MReader(_FrameReader):
     in order with 0-based ``index`` assigned by read position.
     """
 
-    def __init__(self, stream: BinaryIO):
-        super().__init__(stream, parse_y4m_header(stream))
+    def _start(self) -> None:
+        super()._start(parse_y4m_header(self._stream))
 
     def _payload(self) -> bytes | None:
         if not _read_frame_marker(self._stream):
@@ -330,17 +380,16 @@ def _read_frame_marker(stream: BinaryIO) -> bool:
     return True
 
 
-class Y4MWriter:
+class Y4MWriter(_Stream):
     """Frame sink serializing to Y4M.  The header line is written eagerly,
     so an empty stream still yields a well-formed file.  Every write and
     flush goes through ``_guarded``: an OSError or ValueError becomes
     SinkUnavailable, and a BrokenPipeError goes to ``_broken_pipe``, which
     lets it reach the caller unchanged."""
 
-    def __init__(self, stream: BinaryIO, header: StreamHeader):
-        self._stream = stream
+    def _start(self, header: StreamHeader) -> None:
         self.header = header
-        self._guarded(stream.write, serialize_y4m_header(header))
+        self._guarded(self._stream.write, serialize_y4m_header(header))
 
     def write_frame(self, frame: Frame) -> None:
         header = self.header
@@ -362,9 +411,8 @@ class Y4MWriter:
     def _broken_pipe(self, exc: BrokenPipeError) -> None:
         raise exc
 
-    def close(self) -> None:
+    def _finish(self) -> None:
         self.flush()
-        self._stream.close()
 
 
 def check_geometry(frame: Frame, stream: tuple[int, int, PixelFormat]) -> None:
@@ -445,18 +493,17 @@ def check_template(role: str, template: str) -> str:
     return placeholder
 
 
-class _CodecChild:
+class _CodecChild(_Stream):
     """An external codec command, run with one standard stream piped.
 
     Listed before a Y4M reader or writer class, it makes that class's
-    stream the child's pipe: the reader or writer is built over it here,
-    and a failure while building it (the header read or write) releases
-    the child.  The child's stderr is drained so it can never block.
-    close() waits for the child and raises NonZeroExit, carrying the
-    stderr tail, on a nonzero status; abort() kills it without caring
-    about its status.  The child leads a process group of its own, so
-    abort() also kills whatever a shell command forked instead of
-    exec'ing.
+    stream the child's pipe, over which the reader or writer is built
+    here.  The child's stderr is drained so it can never block.  close()
+    waits for the child and raises NonZeroExit, carrying the stderr tail,
+    on a nonzero status; abort() kills it without caring about its
+    status.  The child leads a process group of its own, which either
+    way is killed once the child has exited, so nothing a shell command
+    forked, instead of exec'ing, outlives it.
     """
 
     _role = ""
@@ -480,63 +527,56 @@ class _CodecChild:
         self._pipe = self._proc.stdin if writes else self._proc.stdout
         _widen_pipe(self._pipe)
         self._stderr = _StderrDrain(self._proc.stderr)
+        super().__init__(self._pipe, *args)
+
+    def _start(self, *args) -> None:
         try:
-            super().__init__(self._pipe, *args)
+            super()._start(*args)
         except MotionSieveError as exc:
             # The stream never started; the child's own failure is the
             # better diagnostic when it exited nonzero.
             self._check_exit(exc)
             raise
-        except BaseException:
-            # Interrupted while the child is still running: nothing owns
-            # it yet, so kill it here.
-            self.abort()
-            raise
 
-    def close(self) -> None:
-        """Finish the stream, then release the child and surface its exit
-        status.  When finishing fails, the child is killed and reaped: a
-        child that stalled without reading would block another flush."""
-        try:
-            super().close()
-        except BaseException:
-            self.abort()
-            raise
+    def _release(self) -> None:
         self._check_exit()
 
-    def abort(self) -> None:
-        """Kill the child's process group without caring about its status."""
-        try:
-            os.killpg(self._proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        self._reap()
-
     def _check_exit(self, cause: BaseException | None = None) -> None:
-        rc = self._reap()
+        rc = self._end(kill=False)
         if rc != 0:
-            # Only a reported tail waits for stderr's end: a grandchild
-            # left running can hold it open long after the child exited.
+            # Only a reported tail waits for stderr's end: a process that
+            # left the child's group can hold it open after the group died.
             self._stderr.join(timeout=5.0)
             detail = self._stderr.text()
             message = f"{self._role} command exited with status {rc}"
             raise NonZeroExit(f"{message}: {detail}" if detail else message) from cause
 
-    def _reap(self) -> int:
+    def _end(self, kill: bool) -> int:
+        """End the child and return its exit status: kill its process
+        group first when ``kill`` is set, close our end of the pipe, reap
+        the child, then kill the group again, so that nothing the child
+        started outlives it.  The first kill precedes the pipe close, which
+        waits while a read stage blocked on the pipe holds its lock.  A
+        child reaped before this call is not signalled again: its group
+        was killed then, and its pid may name another process by now."""
+        reaped = self._proc.returncode is not None
+
+        def kill_group() -> None:
+            if not reaped:
+                try:
+                    os.killpg(self._proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+        if kill:
+            kill_group()
         try:
             self._pipe.close()
         except OSError:
             pass
-        return self._proc.wait()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
+        rc = self._proc.wait()
+        kill_group()
+        return rc
 
 
 def _widen_pipe(pipe) -> None:

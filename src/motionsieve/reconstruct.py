@@ -18,13 +18,14 @@ is never darker than the motion frame.
 from __future__ import annotations
 
 import itertools
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import MissingReference, SidecarMismatch
-from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter, committed
+from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter, _Stream, committed
 from .motion_core import abs_diff, check_gray_pair, to_grayscale
 from .pipeline import _run_stages
 from .sidecar import SidecarRecord
@@ -122,14 +123,17 @@ def _write_playback(
     """The writing half of reconstruct_files, which renames nothing: one
     thread reads ``frames`` and rebuilds each position, the other writes
     the three files to ``partials``, in OUTPUT_SUFFIXES order, with one
-    position queued between them.  An error from either is raised here."""
+    position queued between them.  An error from either is raised here,
+    and the files are closed once both are done, or aborted on an error."""
     dl_partial, fgbg_partial, align_partial = partials
     mono_header = replace(header, pixel_format=PixelFormat.GRAY8, extra_tags=())
-    with open(dl_partial, "wb") as dl_file, open(fgbg_partial, "wb") as fgbg_file, open(
-        align_partial, "w", encoding="utf-8", newline=""
-    ) as align_file:
-        dl_writer = Y4MWriter(dl_file, header)
-        fgbg_writer = Y4MWriter(fgbg_file, mono_header)
+    with ExitStack() as streams:
+        dl_writer = streams.enter_context(Y4MWriter(open(dl_partial, "wb"), header))
+        fgbg_writer = streams.enter_context(
+            Y4MWriter(open(fgbg_partial, "wb"), mono_header)
+        )
+        align_file = open(align_partial, "w", encoding="utf-8", newline="")
+        streams.enter_context(_Stream(align_file))
         align_file.write("position,input_frame\n")
         # Positions are counted on the write side: an enumerate() on the
         # read side would keep a third rebuilt position alive in its cached
@@ -156,5 +160,3 @@ def _write_playback(
         *_, failure = _run_stages(reconstruct_stream(frames, records), (), emit, 1)
         if failure is not None:
             raise failure
-        dl_writer.flush()
-        fgbg_writer.flush()

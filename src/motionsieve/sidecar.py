@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .errors import MalformedRow, NonMonotonicIndex
+from .frame_io import _Stream
 
 FIELDNAMES = ("input_frame", "output_frame", "full_frame")
 # Longest field accepted: a frame position needs at most 20 digits, and a
@@ -36,11 +37,12 @@ class SidecarRecord:
     full_frame: bool
 
 
-class SidecarWriter:
-    """Streaming writer; the header row is written at construction."""
+class SidecarWriter(_Stream):
+    """Streaming writer over a text sink that it owns, as a Y4MWriter owns
+    its stream; the header row is written at construction."""
 
-    def __init__(self, sink: IO[str]):
-        self._writer = csv.writer(sink, lineterminator="\n")
+    def _start(self) -> None:
+        self._writer = csv.writer(self._stream, lineterminator="\n")
         self._writer.writerow(FIELDNAMES)
 
     def write_row(self, record: SidecarRecord) -> None:

@@ -1380,6 +1380,97 @@ def test_reconstruct_closes_its_decoder_on_the_calling_thread(
     assert all(rc is None for name, _, rc in calls if name == "abort"), calls
 
 
+def test_compress_never_signals_an_encoder_that_was_already_reaped(
+    tmp_path, monkeypatch
+):
+    """An encoder that stops reading and exits 3 is reaped by the write
+    stage, which reports NonZeroExit; the abort that follows on the main
+    thread finds the status known and sends no signal to the child's
+    process group, whose id may name another process by then."""
+    src = os.path.join(tmp_path, "big.y4m")
+    write_square_y4m(src, count=60, width=640, height=480)
+    events = []
+    abort, killpg = _CodecChild.abort, os.killpg
+
+    def recorded_abort(self):
+        events.append(("abort", self._proc.pid, self._proc.returncode))
+        return abort(self)
+
+    def recorded_killpg(pgid, sig):
+        events.append(("killpg", pgid, None))
+        return killpg(pgid, sig)
+
+    monkeypatch.setattr(_CodecChild, "abort", recorded_abort)
+    monkeypatch.setattr(os, "killpg", recorded_killpg)
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", os.path.join(tmp_path, "c"),
+         "--min-motion-pixels", "1",
+         "--encode-cmd", "sh -c 'head -c 100 >/dev/null; exit 3' {output}"]
+    )
+    assert code == 1
+    assert err.count("\n") == 1, err
+    assert err.startswith("error: StageFailure: NonZeroExit:"), err
+    reaped = [i for i, (name, _, rc) in enumerate(events)
+              if name == "abort" and rc is not None]
+    assert reaped, events
+    for i in reaped:
+        pid = events[i][1]
+        assert ("killpg", pid, None) not in events[i:], events
+
+
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="/dev/full is absent"
+)
+
+
+def _full_disk(prefix, suffixes):
+    """Point each ``prefix + suffix`` at /dev/full, where every write
+    fails with ENOSPC; not being a regular file, none is refused as an
+    output that would replace an input."""
+    for suffix in suffixes:
+        os.symlink("/dev/full", prefix + suffix)
+
+
+@needs_dev_full
+def test_compress_on_a_full_disk_reports_the_first_error(tmp_path):
+    """The video write that fails first is the error reported; closing
+    the sidecar, which fails too, does not replace it."""
+    src = os.path.join(tmp_path, "big.y4m")
+    write_square_y4m(src, count=12, width=640, height=480)
+    prefix = os.path.join(tmp_path, "full")
+    _full_disk(prefix, [".y4m.partial", ".csv.partial"])
+    code, out, err = run_cli(
+        ["compress", "--input", src, "--output", prefix, "--min-motion-pixels", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1, err
+    assert err.startswith("error: StageFailure: SinkUnavailable:"), err
+
+
+@needs_dev_full
+def test_reconstruct_on_a_full_disk_reports_the_first_error(tmp_path):
+    """The .dl.y4m write that fails first is the error reported; closing
+    .align.csv, which fails too, does not replace it with an IO error."""
+    src = os.path.join(tmp_path, "big.y4m")
+    write_square_y4m(src, count=12, width=640, height=480)
+    stored = os.path.join(tmp_path, "c")
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", stored, "--min-motion-pixels", "1"]
+    )
+    assert code == 0, err
+    prefix = os.path.join(tmp_path, "r")
+    _full_disk(prefix, [".dl.y4m.partial", ".align.csv.partial"])
+    code, out, err = run_cli(
+        ["reconstruct", "--input", stored + ".y4m", "--sidecar", stored + ".csv",
+         "--output", prefix]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1, err
+    assert err.startswith("error: SinkUnavailable:"), err
+
+
 def _tiny_run(folder, count):
     """A 4x4 GRAY8 video of ``count`` frames and its sidecar, one full row
     then masked ones, as the paths (video, sidecar)."""

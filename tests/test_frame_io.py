@@ -369,6 +369,23 @@ def test_y4m_writer_reports_a_full_disk_as_sink_unavailable(failing):
     assert excinfo.value.__cause__ is full
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="/dev/full is absent")
+def test_y4m_writer_close_releases_its_stream_when_the_flush_fails():
+    """A final flush into a full device raises SinkUnavailable from
+    close(), and the stream is closed all the same."""
+    header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
+    stream = open("/dev/full", "wb")
+    writer = Y4MWriter(stream, header)
+    writer.write_frame(gray_frame(np.zeros((4, 4), np.uint8)))
+    try:
+        with pytest.raises(SinkUnavailable):
+            writer.close()
+        assert stream.closed
+    finally:
+        if not stream.closed:
+            stream.raw.close()
+
+
 def test_y4m_writer_lets_a_broken_pipe_through():
     """A BrokenPipeError reaches the caller unchanged, so a writer into a
     codec's stdin can tell a dead reader from a failed disk."""
@@ -612,6 +629,34 @@ def test_codec_decoder_close_does_not_wait_for_a_grandchild(tmp_path):
         except ProcessLookupError:
             pass
         decoder._stderr.join(timeout=5.0)
+
+
+def test_codec_decoder_close_kills_what_the_child_left_running(tmp_path):
+    """close() after a decoder exits 0 kills the rest of its process
+    group.  The background sleep held the child's stderr open, so its
+    death ends the stderr drain at once; the group itself is gone once
+    the killed sleep, now an orphan, is reaped by init, which some
+    container inits do only every second or two."""
+    _, frames, path = _clip(tmp_path, count=2)
+    decoder = CodecDecoder("sh -c 'cat \"$0\"; sleep 8 >/dev/null &' {input}", path)
+    group = decoder._proc.pid
+    try:
+        assert len(list(decoder)) == len(frames)
+        decoder.close()
+        assert decoder._proc.returncode == 0
+        decoder._stderr.join(timeout=1.0)
+        assert not decoder._stderr.is_alive()
+        deadline = time.monotonic() + 5.0
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(group, 0)
+                time.sleep(0.02)
+    finally:
+        try:
+            os.killpg(group, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        decoder._stderr.join(timeout=10.0)
 
 
 def test_codec_decoder_nonzero_exit(tmp_path):

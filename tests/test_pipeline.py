@@ -583,6 +583,9 @@ class _FailingWrites:
     def __exit__(self, *exc_info):
         self._handle.close()
 
+    def close(self):
+        self._handle.close()
+
 
 @settings(max_examples=50, deadline=None)
 @given(
