@@ -32,7 +32,6 @@ from .frame_io import (
     StreamHeader,
     Y4MReader,
     Y4MWriter,
-    _Stream,
     check_template,
     committed,
     count_y4m_frames,
@@ -112,7 +111,8 @@ def _byte_total(text: str) -> int | float:
 
 def _load_config(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark some editors put first.
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from None
@@ -309,8 +309,8 @@ def cmd_reconstruct(ns) -> int:
     paths = [ns.output + suffix for suffix in OUTPUT_SUFFIXES]
     _refuse_to_replace(paths, [("--input", ns.input), ("--sidecar", ns.sidecar)])
     with committed(paths) as partials, ExitStack() as streams:
-        sidecar = open(ns.sidecar, encoding="utf-8", newline="")
-        streams.enter_context(_Stream(sidecar))
+        # A read-only file: closing it cannot lose an error.
+        sidecar = streams.enter_context(open(ns.sidecar, encoding="utf-8", newline=""))
         source = _open_source(ns, decode_cmd, streams)
         _write_playback(source, source.header, _records(sidecar), partials)
     for path in paths:

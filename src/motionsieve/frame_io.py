@@ -260,9 +260,9 @@ class _Stream:
     """Owns a stream and ends it one way.  A ``with`` block closes it when
     the block succeeds and aborts it when the block raises, so the block's
     error is the one that leaves.  close() finishes the stream (a writer
-    flushes) and releases it, but aborts and re-raises when finishing
-    fails: a second flush into a codec child that stalled without reading
-    would block.  abort() releases the stream unfinished and lets no
+    flushes) and runs ``_end(kill=False)``, but aborts and re-raises when
+    finishing fails: a second flush into a codec child that stalled without
+    reading would block.  abort() runs ``_end(kill=True)`` and lets no
     Exception out.  A failed start, such as a Y4M header read or write,
     aborts too.  Used directly, it owns a plain file."""
 
@@ -281,7 +281,7 @@ class _Stream:
 
     def close(self) -> None:
         self._or_abort(self._finish)
-        self._release()
+        self._end(kill=False)
 
     def abort(self) -> None:
         try:
@@ -301,9 +301,6 @@ class _Stream:
 
     def _finish(self) -> None:
         """Write out what is buffered; nothing by default."""
-
-    def _release(self) -> None:
-        self._end(kill=False)
 
     def _end(self, kill: bool) -> None:
         """Let go of the stream; a plain stream has nothing to kill."""
@@ -380,22 +377,12 @@ def _read_frame_marker(stream: BinaryIO) -> bool:
     return True
 
 
-class Y4MWriter(_Stream):
-    """Frame sink serializing to Y4M.  The header line is written eagerly,
-    so an empty stream still yields a well-formed file.  Every write and
-    flush goes through ``_guarded``: an OSError or ValueError becomes
-    SinkUnavailable, and a BrokenPipeError goes to ``_broken_pipe``, which
-    lets it reach the caller unchanged."""
-
-    def _start(self, header: StreamHeader) -> None:
-        self.header = header
-        self._guarded(self._stream.write, serialize_y4m_header(header))
-
-    def write_frame(self, frame: Frame) -> None:
-        header = self.header
-        check_geometry(frame, (header.width, header.height, header.pixel_format))
-        self._guarded(self._stream.write, b"FRAME\n")
-        self._guarded(self._stream.write, frame.data)
+class _Sink(_Stream):
+    """A writer's stream, binary or text.  Every write and flush goes
+    through ``_guarded``: an OSError or ValueError, such as a full disk or
+    a closed file, becomes SinkUnavailable, and a BrokenPipeError goes to
+    ``_broken_pipe``, which lets it reach the caller unchanged.  close()
+    flushes the same way before it ends the stream."""
 
     def flush(self) -> None:
         self._guarded(self._stream.flush)
@@ -413,6 +400,21 @@ class Y4MWriter(_Stream):
 
     def _finish(self) -> None:
         self.flush()
+
+
+class Y4MWriter(_Sink):
+    """Frame sink serializing to Y4M.  The header line is written eagerly,
+    so an empty stream still yields a well-formed file."""
+
+    def _start(self, header: StreamHeader) -> None:
+        self.header = header
+        self._guarded(self._stream.write, serialize_y4m_header(header))
+
+    def write_frame(self, frame: Frame) -> None:
+        header = self.header
+        check_geometry(frame, (header.width, header.height, header.pixel_format))
+        self._guarded(self._stream.write, b"FRAME\n")
+        self._guarded(self._stream.write, frame.data)
 
 
 def check_geometry(frame: Frame, stream: tuple[int, int, PixelFormat]) -> None:
@@ -535,30 +537,19 @@ class _CodecChild(_Stream):
         except MotionSieveError as exc:
             # The stream never started; the child's own failure is the
             # better diagnostic when it exited nonzero.
-            self._check_exit(exc)
+            self._end(kill=False, cause=exc)
             raise
 
-    def _release(self) -> None:
-        self._check_exit()
-
-    def _check_exit(self, cause: BaseException | None = None) -> None:
-        rc = self._end(kill=False)
-        if rc != 0:
-            # Only a reported tail waits for stderr's end: a process that
-            # left the child's group can hold it open after the group died.
-            self._stderr.join(timeout=5.0)
-            detail = self._stderr.text()
-            message = f"{self._role} command exited with status {rc}"
-            raise NonZeroExit(f"{message}: {detail}" if detail else message) from cause
-
-    def _end(self, kill: bool) -> int:
-        """End the child and return its exit status: kill its process
-        group first when ``kill`` is set, close our end of the pipe, reap
-        the child, then kill the group again, so that nothing the child
-        started outlives it.  The first kill precedes the pipe close, which
-        waits while a read stage blocked on the pipe holds its lock.  A
-        child reaped before this call is not signalled again: its group
-        was killed then, and its pid may name another process by now."""
+    def _end(self, kill: bool, cause: BaseException | None = None) -> None:
+        """End the child: kill its process group first when ``kill`` is
+        set, close our end of the pipe, reap the child, then kill the group
+        again, so that nothing the child started outlives it.  The first
+        kill precedes the pipe close, which waits while a read stage
+        blocked on the pipe holds its lock.  A child reaped before this
+        call is not signalled again: its group was killed then, and its pid
+        may name another process by now.  A child that was not killed and
+        exited nonzero raises NonZeroExit, carrying its stderr tail and
+        chained to ``cause``."""
         reaped = self._proc.returncode is not None
 
         def kill_group() -> None:
@@ -576,7 +567,13 @@ class _CodecChild(_Stream):
             pass
         rc = self._proc.wait()
         kill_group()
-        return rc
+        if rc != 0 and not kill:
+            # Only a reported tail waits for stderr's end: a process that
+            # left the child's group can hold it open after the group died.
+            self._stderr.join(timeout=5.0)
+            detail = self._stderr.text()
+            message = f"{self._role} command exited with status {rc}"
+            raise NonZeroExit(f"{message}: {detail}" if detail else message) from cause
 
 
 def _widen_pipe(pipe) -> None:
@@ -616,5 +613,5 @@ class CodecEncoder(_CodecChild, Y4MWriter):
     _role = "encode"
 
     def _broken_pipe(self, exc: BrokenPipeError) -> None:
-        self._check_exit(exc)
+        self._end(kill=False, cause=exc)
         raise BrokenPipe("encode command closed its input early") from exc

@@ -33,7 +33,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "encode":
-        with gzip.open(args.output, "wb", compresslevel=1) as sink:
+        # No file name and a zero mtime in the gzip header, so that one
+        # input always encodes to the same bytes.
+        with open(args.output, "wb") as raw, gzip.GzipFile(
+            filename="", mode="wb", compresslevel=1, fileobj=raw, mtime=0
+        ) as sink:
             shutil.copyfileobj(sys.stdin.buffer, sink, _CHUNK)
     else:
         try:

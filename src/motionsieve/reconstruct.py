@@ -54,8 +54,8 @@ def rec_frame(env: np.ndarray, mot: np.ndarray) -> np.ndarray:
 class RebuiltFrame:
     """One reconstructed position: the stored color frame untouched, and
     the grayscale frame with the environment filled back in.  ``restored``
-    is an array of its own, never a view into ``color``: a full row's is
-    a copy of its luma."""
+    is read-only, never a view into ``color``: a full row's is a copy of
+    its luma, and the reference that later masked rows are rebuilt from."""
 
     input_index: int
     is_full: bool
@@ -90,6 +90,7 @@ def reconstruct_stream(
                     "but no full frame precedes it"
                 )
             restored = rec_frame(env_frame(reference, gray), gray)
+        restored.flags.writeable = False
         yield RebuiltFrame(record.input_frame, record.full_frame, frame, restored)
     if next(record_iter, None) is not None:
         raise SidecarMismatch("sidecar has more rows than video frames")
@@ -149,7 +150,7 @@ def _write_playback(
                     header.width,
                     header.height,
                     PixelFormat.GRAY8,
-                    memoryview(rebuilt.restored).toreadonly(),
+                    rebuilt.restored,
                 )
             )
             align_file.write(f"{position},{rebuilt.input_index}\n")

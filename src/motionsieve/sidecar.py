@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .errors import MalformedRow, NonMonotonicIndex
-from .frame_io import _Stream
+from .frame_io import _Sink
 
 FIELDNAMES = ("input_frame", "output_frame", "full_frame")
 # Longest field accepted: a frame position needs at most 20 digits, and a
@@ -37,17 +37,18 @@ class SidecarRecord:
     full_frame: bool
 
 
-class SidecarWriter(_Stream):
-    """Streaming writer over a text sink that it owns, as a Y4MWriter owns
-    its stream; the header row is written at construction."""
+class SidecarWriter(_Sink):
+    """Streaming writer over a text sink, which it owns and fails on as a
+    Y4MWriter does; the header row is written at construction."""
 
     def _start(self) -> None:
         self._writer = csv.writer(self._stream, lineterminator="\n")
-        self._writer.writerow(FIELDNAMES)
+        self._guarded(self._writer.writerow, FIELDNAMES)
 
     def write_row(self, record: SidecarRecord) -> None:
-        self._writer.writerow(
-            (record.input_frame, record.output_frame, int(record.full_frame))
+        self._guarded(
+            self._writer.writerow,
+            (record.input_frame, record.output_frame, int(record.full_frame)),
         )
 
 

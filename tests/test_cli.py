@@ -168,20 +168,23 @@ def test_config_key_matches_flag(tmp_path, spelling, value):
     flag = "--" + spelling.replace("_", "-")
 
     def outputs(name, extra):
-        prefix = os.path.join(tmp_path, name)
-        code, _, err = run_cli(
-            ["compress", "--input", src, "--output", prefix] + extra
-        )
-        assert code == 0, err
-        blobs = []
-        for suffix in (".y4m", ".csv"):
-            with open(prefix + suffix, "rb") as fh:
-                blobs.append(fh.read())
-        return blobs
+        return _compressed_bytes(src, os.path.join(tmp_path, name), extra)
 
     from_file = outputs("file", ["--config", config_path])
     assert from_file == outputs("flag", [flag, str(value)])
     assert from_file != outputs("default", [])
+
+
+def _compressed_bytes(src, prefix, extra):
+    """The bytes of the video and the sidecar that compress writes from
+    ``src`` to ``prefix`` with the flags ``extra``."""
+    code, _, err = run_cli(["compress", "--input", src, "--output", prefix] + extra)
+    assert code == 0, err
+    blobs = []
+    for suffix in (".y4m", ".csv"):
+        with open(prefix + suffix, "rb") as fh:
+            blobs.append(fh.read())
+    return blobs
 
 
 @pytest.mark.parametrize("command", ["compress", "bench"])
@@ -874,6 +877,22 @@ def test_stats_undecodable_sidecar(tmp_path):
     assert err == "error: MalformedRow: sidecar is not UTF-8 text\n"
 
 
+def test_compress_config_with_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark before the first key, as some editors
+    write one, gives the bytes its flag gives."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    config_path = os.path.join(tmp_path, "bom.conf")
+    with open(config_path, "wb") as fh:
+        fh.write(b"\xef\xbb\xbfthreshold=30\n")
+    from_file = _compressed_bytes(
+        src, os.path.join(tmp_path, "file"), ["--config", config_path]
+    )
+    assert from_file == _compressed_bytes(
+        src, os.path.join(tmp_path, "flag"), ["--threshold", "30"]
+    )
+
+
 def test_compress_undecodable_config(tmp_path):
     src = os.path.join(tmp_path, "sq.y4m")
     write_square_y4m(src)
@@ -1469,6 +1488,32 @@ def test_reconstruct_on_a_full_disk_reports_the_first_error(tmp_path):
     assert out == ""
     assert err.count("\n") == 1, err
     assert err.startswith("error: SinkUnavailable:"), err
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "count, expected",
+    [(2000, "error: StageFailure: SinkUnavailable:"),
+     (20, "error: SinkUnavailable:")],
+    ids=["mid-run", "at-close"],
+)
+def test_compress_on_a_full_sidecar_disk_reports_sink_unavailable(
+    tmp_path, count, expected
+):
+    """A sidecar on a full disk fails as a video there does.  2000 rows
+    outgrow the text buffer, so a row write fails while the stages run;
+    20 rows stay buffered until the flush in close()."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src, count=count)
+    prefix = os.path.join(tmp_path, "full")
+    _full_disk(prefix, [".csv.partial"])
+    code, out, err = run_cli(
+        ["compress", "--input", src, "--output", prefix, "--min-motion-pixels", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1, err
+    assert err.startswith(expected + " "), err
 
 
 def _tiny_run(folder, count):

@@ -150,6 +150,18 @@ def test_masked_rows_apply_envelope_sum():
             assert (item.restored[live].astype(int) >= gray[live]).all()
 
 
+def test_rebuilt_gray_frames_are_read_only():
+    """A full row's restored frame is also the reference that the masked
+    rows after it are rebuilt from, so no row's may be written into."""
+    header, kept, records = compressed_fixture()
+    seen = set()
+    for item in reconstruct_stream(kept, records):
+        with pytest.raises(ValueError):
+            item.restored[...] = 0
+        seen.add(item.is_full)
+    assert seen == {True, False}
+
+
 def test_masked_before_full_rejected():
     arr = np.full((8, 8), 9, np.uint8)
     frames = [gray_frame(arr, 0)]

@@ -1,4 +1,6 @@
+import errno
 import io
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,8 @@ from motionsieve import (
     MalformedRow,
     NonMonotonicIndex,
     SidecarRecord,
+    SidecarWriter,
+    SinkUnavailable,
     read_sidecar,
     write_sidecar,
 )
@@ -41,6 +45,54 @@ def test_empty_sidecar_is_just_the_header():
     write_sidecar([], sink)
     assert sink.getvalue() == HEADER
     assert read_sidecar(io.StringIO(sink.getvalue())) == []
+
+
+class _FaultySink:
+    """A text sink that takes the header row, then raises ``write_error``
+    from every write, or ``flush_error`` from every flush."""
+
+    def __init__(self, write_error=None, flush_error=None):
+        self.text = ""
+        self.write_error = write_error
+        self.flush_error = flush_error
+
+    def write(self, text):
+        if self.text and self.write_error is not None:
+            raise self.write_error
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        if self.flush_error is not None:
+            raise self.flush_error
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_sidecar_writer_reports_a_full_disk_as_sink_unavailable(failing):
+    full = OSError(errno.ENOSPC, "No space left on device")
+    writer = SidecarWriter(_FaultySink(**{f"{failing}_error": full}))
+    with pytest.raises(SinkUnavailable) as excinfo:
+        if failing == "write":
+            writer.write_row(SidecarRecord(0, 0, True))
+        else:
+            writer.flush()
+    assert excinfo.value.__cause__ is full
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="/dev/full is absent")
+def test_sidecar_writer_close_releases_its_stream_when_the_flush_fails():
+    """A final flush into a full device raises SinkUnavailable from
+    close(), and the stream is closed all the same."""
+    stream = open("/dev/full", "w", encoding="utf-8", newline="")
+    writer = SidecarWriter(stream)
+    writer.write_row(SidecarRecord(0, 0, True))
+    try:
+        with pytest.raises(SinkUnavailable):
+            writer.close()
+        assert stream.closed
+    finally:
+        if not stream.closed:
+            stream.buffer.raw.close()
 
 
 def test_read_skips_a_blank_line():
