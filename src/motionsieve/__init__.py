@@ -31,7 +31,6 @@ from .errors import (
     SidecarMismatch,
     SinkUnavailable,
     SpawnFailure,
-    StageFailure,
     TooFewFrames,
     TruncatedFrame,
     UnsupportedColorspace,
@@ -89,7 +88,6 @@ __all__ = [
     "SidecarWriter",
     "SinkUnavailable",
     "SpawnFailure",
-    "StageFailure",
     "StreamHeader",
     "TooFewFrames",
     "TruncatedFrame",

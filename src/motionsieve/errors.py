@@ -41,10 +41,6 @@ class BrokenPipe(MotionSieveError):
     """External codec command stopped consuming our stream."""
 
 
-class StageFailure(MotionSieveError):
-    """A pipeline stage failed; message carries the first underlying error."""
-
-
 class MalformedRow(MotionSieveError):
     """Sidecar CSV row is not schema-valid."""
 

@@ -264,7 +264,7 @@ class _Stream:
     finishing fails: a second flush into a codec child that stalled without
     reading would block.  abort() runs ``_end(kill=True)`` and lets no
     Exception out.  A failed start, such as a Y4M header read or write,
-    aborts too.  Used directly, it owns a plain file."""
+    aborts too."""
 
     def __init__(self, stream, *args):
         self._stream = stream
@@ -387,6 +387,9 @@ class _Sink(_Stream):
     def flush(self) -> None:
         self._guarded(self._stream.flush)
 
+    def _write(self, data) -> None:
+        self._guarded(self._stream.write, data)
+
     def _guarded(self, call, *args) -> None:
         try:
             call(*args)
@@ -408,13 +411,13 @@ class Y4MWriter(_Sink):
 
     def _start(self, header: StreamHeader) -> None:
         self.header = header
-        self._guarded(self._stream.write, serialize_y4m_header(header))
+        self._write(serialize_y4m_header(header))
 
     def write_frame(self, frame: Frame) -> None:
         header = self.header
         check_geometry(frame, (header.width, header.height, header.pixel_format))
-        self._guarded(self._stream.write, b"FRAME\n")
-        self._guarded(self._stream.write, frame.data)
+        self._write(b"FRAME\n")
+        self._write(frame.data)
 
 
 def check_geometry(frame: Frame, stream: tuple[int, int, PixelFormat]) -> None:

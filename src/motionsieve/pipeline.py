@@ -6,11 +6,10 @@ stage applies backpressure instead of ballooning memory, whatever the
 frame size.  A stage pulls its next item only once the queue it feeds has
 room, so no stage holds an item it cannot hand on.  End of input is
 signalled by a sentinel that cascades down the queues.  On any stage error
-the others are cancelled promptly and the first error wins.
+the others are cancelled promptly and the first error is raised unchanged.
 
-run_pipeline is the compression run: reader, analysis and writer, the
-analysis fold being _kept.  It raises StageFailure wrapping the first
-error.  reconstruct_files runs the rebuild on the same runner, with no
+run_pipeline is the compression run: reader, analysis fold _kept and
+writer.  reconstruct_files runs the rebuild on the same runner, with no
 fold: read and rebuild on one thread, the three writes on the other.
 
 Queue bounds affect scheduling only: for any capacity >= 1 the emitted
@@ -27,7 +26,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import StageFailure
 from .frame_io import Frame
 from .motion_core import AnalysisOutcome, AnalysisState, MotionConfig, analyse
 from .sidecar import SidecarRecord
@@ -142,7 +140,7 @@ def run_pipeline(
 
     ``video_sink`` needs a write_frame(frame) method, ``sidecar_sink`` a
     write_row(record) method; neither is closed here, the caller owns both.
-    Raises StageFailure if any stage fails; sinks may then hold a prefix of
+    Raises the first stage error as raised; sinks may then hold a prefix of
     the output (whole frames and whole rows only, never a torn record).
     On an interrupt, such as Ctrl-C, the interrupt is re-raised without
     waiting for a stage inside ``source`` or a sink: only the caller, by
@@ -154,13 +152,11 @@ def run_pipeline(
         sidecar_sink.write_row(outcome.record)
 
     started = time.monotonic()
-    frames_in, frames_out, failure = _run_stages(
+    frames_in, frames_out = _run_stages(
         source, [("analysis", lambda frames: _kept(frames, config))], emit,
         queue_capacity,
     )
     wall_time = max(time.monotonic() - started, 1e-9)
-    if failure is not None:
-        raise StageFailure(f"{type(failure).__name__}: {failure}") from failure
     return PipelineReport(frames_in, frames_out, wall_time)
 
 
@@ -169,7 +165,7 @@ def _run_stages(
     folds: Sequence[tuple[str, Callable[[Iterator], Iterator]]],
     emit: Callable[[object], None],
     queue_capacity: int,
-) -> tuple[int, int, BaseException | None]:
+) -> tuple[int, int]:
     """Run ``source`` through each ``(name, fold)`` in turn into ``emit``,
     one thread per link.
 
@@ -181,10 +177,10 @@ def _run_stages(
     link holds at most its queue's items plus the one its consumer is on.
     Iterating ``source`` and calling ``emit`` count as the caller's code.
 
-    Returns the items read, the items written and the first failure of any
-    stage, or None; after a failure every stage has stopped.  On an
-    interrupt, such as Ctrl-C, the interrupt is re-raised without waiting
-    for a stage inside the caller's code.
+    Returns the items read and the items written; once every stage has
+    stopped, the first error of any stage is raised as it was raised.  On
+    an interrupt, such as Ctrl-C, the interrupt is re-raised without
+    waiting for a stage inside the caller's code.
     """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be >= 1")
@@ -293,5 +289,6 @@ def _run_stages(
             finished[name].wait(max(0.0, deadline - time.monotonic()))
         raise
 
-    failure = failures[0] if failures else None
-    return results.get("read", 0), results.get("write", 0), failure
+    if failures:
+        raise failures[0]
+    return results.get("read", 0), results.get("write", 0)

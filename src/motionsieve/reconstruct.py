@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import MissingReference, SidecarMismatch
-from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter, _Stream, committed
+from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter, _Sink, committed
 from .motion_core import abs_diff, check_gray_pair, to_grayscale
 from .pipeline import _run_stages
 from .sidecar import SidecarRecord
@@ -109,7 +109,8 @@ def reconstruct_files(
     mapping output position to source frame index.  Returns the three
     paths.  Each is written as ``*.partial`` and renamed into place only
     after the whole stream succeeded, so a failed run leaves only
-    ``*.partial`` files.  Nothing passed in is closed here.
+    ``*.partial`` files.  Any error is raised as it was raised, and a write
+    the disk refuses raises SinkUnavailable.  Nothing passed in is closed.
     """
     paths = tuple(out_prefix + suffix for suffix in OUTPUT_SUFFIXES)
     with committed(paths) as partials:
@@ -124,8 +125,8 @@ def _write_playback(
     """The writing half of reconstruct_files, which renames nothing: one
     thread reads ``frames`` and rebuilds each position, the other writes
     the three files to ``partials``, in OUTPUT_SUFFIXES order, with one
-    position queued between them.  An error from either is raised here,
-    and the files are closed once both are done, or aborted on an error."""
+    position queued between them.  The first error of either is raised as
+    it was raised; the files are closed once both are done, or aborted."""
     dl_partial, fgbg_partial, align_partial = partials
     mono_header = replace(header, pixel_format=PixelFormat.GRAY8, extra_tags=())
     with ExitStack() as streams:
@@ -133,9 +134,10 @@ def _write_playback(
         fgbg_writer = streams.enter_context(
             Y4MWriter(open(fgbg_partial, "wb"), mono_header)
         )
-        align_file = open(align_partial, "w", encoding="utf-8", newline="")
-        streams.enter_context(_Stream(align_file))
-        align_file.write("position,input_frame\n")
+        align = streams.enter_context(
+            _Sink(open(align_partial, "w", encoding="utf-8", newline=""))
+        )
+        align._write("position,input_frame\n")
         # Positions are counted on the write side: an enumerate() on the
         # read side would keep a third rebuilt position alive in its cached
         # result tuple.
@@ -153,11 +155,9 @@ def _write_playback(
                     rebuilt.restored,
                 )
             )
-            align_file.write(f"{position},{rebuilt.input_index}\n")
+            align._write(f"{position},{rebuilt.input_index}\n")
 
         # One queued position, so at most two are held at once: the one
         # being written and the one queued.  Each holds a color frame and a
         # gray one, 5.2 MB at 1080p YUV420, so every deeper slot costs that.
-        *_, failure = _run_stages(reconstruct_stream(frames, records), (), emit, 1)
-        if failure is not None:
-            raise failure
+        _run_stages(reconstruct_stream(frames, records), (), emit, 1)

@@ -91,7 +91,7 @@ LIBRARY_API = {
     "BrokenPipe", "DimensionMismatch", "MalformedFrameMarker",
     "MalformedHeader", "MalformedRow", "MissingReference", "MotionSieveError",
     "NonMonotonicIndex", "NonZeroExit", "SidecarMismatch", "SinkUnavailable",
-    "SpawnFailure", "StageFailure", "TooFewFrames", "TruncatedFrame",
+    "SpawnFailure", "TooFewFrames", "TruncatedFrame",
     "UnsupportedColorspace", "ZeroInput",
     # frames, readers, writers and codec adapters
     "CodecDecoder", "CodecEncoder", "Frame", "PixelFormat", "RawReader",
