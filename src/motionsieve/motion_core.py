@@ -137,12 +137,21 @@ def _tile_lengths(size: int, factor: int) -> np.ndarray:
     return np.minimum(size - np.arange(0, size, factor), factor)
 
 
-def abs_diff(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
-    """Elementwise |curr - prev| of two equal-shape uint8 gray frames."""
+def abs_diff(
+    prev: np.ndarray, curr: np.ndarray, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Elementwise |curr - prev| of two equal-shape uint8 gray frames.
+
+    ``out``, if given, is a uint8 array of that shape that receives the
+    difference and is returned; ``scratch``, if given, is another one that
+    holds min(prev, curr) on the way.  With both the call allocates
+    nothing.  Neither may overlap an operand.
+    """
     check_gray_pair(prev, curr)
     # max - min never wraps, so the difference needs no wider dtype.
-    diff = np.maximum(prev, curr)
-    diff -= np.minimum(prev, curr)
+    diff = np.maximum(prev, curr, out=out)
+    diff -= np.minimum(prev, curr, out=scratch)
     return diff
 
 

@@ -7,7 +7,8 @@ stream is a pass-through.  The second is rebuilt in grayscale from the
 most recent full frame: the environment outside the motion region is
 recovered as the absolute difference between reference and motion frame,
 then the motion content is added back with saturation at 255.  Both steps
-are computed in uint8, with no widened copy of the frame.
+are computed in uint8, in row bands of about 256 KiB that stay in a
+core's cache, with no frame-sized temporary.
 
 Where the motion frame is zero (everything the mask removed), the rebuilt
 pixel equals the reference exactly; inside the kept region it equals the
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import MissingReference, SidecarMismatch
+from .errors import DimensionMismatch, MissingReference, SidecarMismatch
 from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter, _Sink, committed
 from .motion_core import abs_diff, check_gray_pair, to_grayscale
 from .pipeline import _run_stages
@@ -34,17 +35,28 @@ from .sidecar import SidecarRecord
 # the rebuilt grayscale stream and the alignment table.
 OUTPUT_SUFFIXES = (".dl.y4m", ".fgbg.y4m", ".align.csv")
 
+# A masked position is rebuilt this many bytes of rows at a time (136 rows
+# at 1080p), so that both kernels' operands stay in a core's L2 cache.
+_BAND_BYTES = 256 * 1024
+
 # The environment estimate |ref - mot| of equal-shape uint8 gray frames is
 # the absolute difference that motion analysis thresholds.
 env_frame = abs_diff
 
 
-def rec_frame(env: np.ndarray, mot: np.ndarray) -> np.ndarray:
-    """Saturating sum env + mot, capped at 255."""
+def rec_frame(
+    env: np.ndarray, mot: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Saturating sum env + mot, capped at 255.
+
+    ``out``, if given, is a uint8 array of their shape that receives the
+    sum and is returned, so the call allocates nothing.  It may not
+    overlap either operand.
+    """
     check_gray_pair(env, mot)
     # env + mot passes 255 exactly when env > 255 - mot, so
     # mot + min(env, 255 - mot) is the capped sum and never wraps.
-    rebuilt = 255 - mot
+    rebuilt = np.subtract(255, mot, out=out)
     np.minimum(env, rebuilt, out=rebuilt)
     rebuilt += mot
     return rebuilt
@@ -68,14 +80,18 @@ def reconstruct_stream(
 ) -> Iterator[RebuiltFrame]:
     """Pair compressed frames with sidecar rows and rebuild each position.
 
-    Raises SidecarMismatch when the counts disagree and MissingReference
-    when a masked frame arrives before any full frame.  Errors surface
-    while iterating, since both inputs may be streams.
+    Raises SidecarMismatch when the counts disagree, MissingReference
+    when a masked frame arrives before any full frame and
+    DimensionMismatch when a masked frame's size is not its reference's.
+    Errors surface while iterating, since both inputs may be streams.
     """
     record_iter = iter(records)
     # The most recent full frame's luma, copied so that it does not keep
     # the whole color frame alive while it is the reference.
     reference: np.ndarray | None = None
+    # env_frame's output and scratch for one band, made at the first masked
+    # position and again only when the width changes; never yielded.
+    env = low = None
     for frame in frames:
         record = next(record_iter, None)
         if record is None:
@@ -89,7 +105,24 @@ def reconstruct_stream(
                     f"row for input frame {record.input_frame} is masked "
                     "but no full frame precedes it"
                 )
-            restored = rec_frame(env_frame(reference, gray), gray)
+            height, width = gray.shape
+            if reference.shape != (height, width):
+                raise DimensionMismatch(
+                    f"frame {record.input_frame} is {width}x{height}, "
+                    f"reference is {reference.shape[1]}x{reference.shape[0]}"
+                )
+            rows = max(1, _BAND_BYTES // width)
+            if env is None or env.shape[1] != width:
+                env, low = np.empty((2, rows, width), np.uint8)
+            restored = np.empty_like(gray)
+            for top in range(0, height, rows):
+                band = slice(top, top + rows)
+                mot = gray[band]
+                used = len(mot)
+                rec_frame(
+                    env_frame(reference[band], mot, env[:used], low[:used]),
+                    mot, restored[band],
+                )
         restored.flags.writeable = False
         yield RebuiltFrame(record.input_frame, record.full_frame, frame, restored)
     if next(record_iter, None) is not None:

@@ -556,8 +556,9 @@ _STORED, _STORED_ROWS = reference_compress(
     _resting_square(PixelFormat.YUV420), VARIED_CONFIG
 )
 _STORED_VIDEO = frames_to_y4m(_STORED_HEADER, _STORED)
+_REBUILT_HEADER = StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8)
 _REBUILT_VIDEO = frames_to_y4m(
-    StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8),
+    _REBUILT_HEADER,
     [gray_frame(item.restored, position) for position, item
      in enumerate(reconstruct_stream(_STORED, _STORED_ROWS))],
 )
@@ -660,12 +661,63 @@ def test_injected_fault_stops_reconstruct_at_a_whole_prefix(site, call, error_ty
                     got.append(fh.read())
             assert got == [_STORED_VIDEO, _REBUILT_VIDEO, _ALIGN.encode()]
             return
-        assert sorted(os.listdir(out)) == sorted(
-            "r" + s + ".partial" for s in suffixes
-        )
-        with open(prefix + ".dl.y4m.partial", "rb") as fh:
-            stored = fh.read()
+        _assert_stored_prefix_left(out, prefix)
+
+
+def _assert_stored_prefix_left(out, prefix):
+    """Only the three *.partial files are in ``out``, and the pass-through
+    stream is a whole-frame prefix of the stored video."""
+    assert sorted(os.listdir(out)) == sorted(
+        "r" + s + ".partial" for s in (".dl.y4m", ".fgbg.y4m", ".align.csv")
+    )
+    with open(prefix + ".dl.y4m.partial", "rb") as fh:
+        stored = fh.read()
     header_bytes = len(serialize_y4m_header(_STORED_HEADER))
     frame_bytes = len(b"FRAME\n") + _STORED_HEADER.frame_size()
     assert (len(stored) - header_bytes) % frame_bytes == 0
     assert stored == _STORED_VIDEO[:len(stored)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    site=st.sampled_from(["env_frame", "rec_frame"]),
+    masked=st.integers(0, 9),
+    band=st.integers(2, 5),
+    error_type=st.sampled_from([OSError, ValueError, RuntimeError, SinkUnavailable]),
+)
+def test_fault_in_a_middle_band_stops_reconstruct_at_a_whole_prefix(
+    site, masked, band, error_type
+):
+    """With 3-row bands each 16x16 masked position is rebuilt in six
+    bands.  A failure raised in one of the four middle bands of any of the
+    ten masked positions makes reconstruct_files raise that very error.
+    It leaves only *.partial files, with the pass-through stream a
+    whole-frame prefix of the stored video and the rebuilt stream one of
+    the rebuilt video, so no half-built frame is written, and leaves no
+    stage thread running."""
+    error = error_type("injected")
+    fired = []
+    kernel = env_frame if site == "env_frame" else rec_frame
+    call = 6 * masked + band
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(
+            mock.patch("motionsieve.reconstruct._BAND_BYTES", 3 * 16)
+        )
+        patches.enter_context(mock.patch(
+            f"motionsieve.reconstruct.{site}",
+            _failing_at(call, error, kernel, fired),
+        ))
+        out = patches.enter_context(tempfile.TemporaryDirectory())
+        prefix = os.path.join(out, "r")
+        with pytest.raises(error_type) as raised:
+            reconstruct_files(iter(_STORED), _STORED_HEADER, _STORED_ROWS, prefix)
+        assert raised.value is error
+        assert fired == [error]
+        _assert_no_stage_thread()
+        _assert_stored_prefix_left(out, prefix)
+        with open(prefix + ".fgbg.y4m.partial", "rb") as fh:
+            rebuilt = fh.read()
+    header_bytes = len(serialize_y4m_header(_REBUILT_HEADER))
+    frame_bytes = len(b"FRAME\n") + _REBUILT_HEADER.frame_size()
+    assert (len(rebuilt) - header_bytes) % frame_bytes == 0
+    assert rebuilt == _REBUILT_VIDEO[:len(rebuilt)]

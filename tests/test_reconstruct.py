@@ -4,14 +4,17 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from motionsieve import (
+    DimensionMismatch,
     MissingReference,
     MotionConfig,
     PixelFormat,
@@ -25,8 +28,8 @@ from motionsieve import (
     reference_compress,
 )
 from motionsieve.motion_core import to_grayscale
-from motionsieve.reconstruct import env_frame, rec_frame
-from synth import gray_frame, moving_square_video
+from motionsieve.reconstruct import _BAND_BYTES, env_frame, rec_frame
+from synth import gray_frame, moving_square_video, random_frame
 
 luma_arrays = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)
@@ -40,8 +43,6 @@ def test_env_frame_values():
 
 
 def test_env_frame_shape_mismatch():
-    from motionsieve import DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         env_frame(np.zeros((2, 2), np.uint8), np.zeros((2, 3), np.uint8))
 
@@ -98,6 +99,93 @@ def test_rebuild_never_darker_than_motion(ref, mot):
         mot = np.resize(mot, ref.shape).astype(np.uint8)
     rec = rec_frame(env_frame(ref, mot), mot)
     assert (rec.astype(int) >= mot.astype(int)).all()
+
+
+@given(luma_arrays, st.integers(0, 2**32 - 1))
+def test_kernels_write_into_out_and_leave_operands(ref, seed):
+    """Given ``out`` (and env_frame's ``scratch``), each kernel returns
+    that very array, holding what it returns without them, and leaves its
+    operands untouched."""
+    mot = np.random.default_rng(seed).integers(0, 256, ref.shape, np.uint8)
+    ref_before, mot_before = ref.copy(), mot.copy()
+    env, scratch, rebuilt = np.empty((3,) + ref.shape, np.uint8)
+    assert env_frame(ref, mot, env, scratch) is env
+    assert np.array_equal(env, env_frame(ref, mot))
+    env_before = env.copy()
+    assert rec_frame(env, mot, rebuilt) is rebuilt
+    assert np.array_equal(rebuilt, rec_frame(env, mot))
+    for operand, before in ((ref, ref_before), (mot, mot_before),
+                            (env, env_before)):
+        assert np.array_equal(operand, before)
+
+
+@pytest.mark.parametrize("pixel_format", list(PixelFormat))
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.integers(1, 7),
+    height=st.integers(1, 9),
+    rows=st.integers(1, 3),
+    slack=st.integers(0, 13),
+    fulls=st.lists(st.booleans(), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=1, height=7, rows=2, slack=0, fulls=[False, True, False], seed=0)
+@example(width=7, height=1, rows=3, slack=6, fulls=[False], seed=1)
+def test_banded_rebuild_matches_whole_frame(
+    pixel_format, width, height, rows, slack, fulls, seed
+):
+    """Rebuilt in bands of 1, 2 or 3 rows, which need not divide the
+    height, every position equals the two kernels run on the whole frame."""
+    if pixel_format is PixelFormat.YUV420:
+        width, height = 2 * width, 2 * height
+    rng = np.random.default_rng(seed)
+    fulls = [True] + fulls
+    frames = [random_frame(rng, width, height, pixel_format, i)
+              for i in range(len(fulls))]
+    records = [SidecarRecord(i, i, full) for i, full in enumerate(fulls)]
+    band_bytes = rows * width + slack % width
+    with mock.patch("motionsieve.reconstruct._BAND_BYTES", band_bytes):
+        got = [item.restored for item in reconstruct_stream(frames, records)]
+    for frame, full, restored in zip(frames, fulls, got):
+        gray = to_grayscale(frame)
+        if full:
+            reference = expected = gray
+        else:
+            expected = rec_frame(env_frame(reference, gray), gray)
+        assert np.array_equal(restored, expected)
+
+
+def test_masked_frame_of_another_size_is_named():
+    """A masked frame whose size is not its reference's is refused before
+    any band is rebuilt, with the frame's input index and both sizes."""
+    frames = [gray_frame(np.zeros((4, 4), np.uint8), 0),
+              gray_frame(np.zeros((6, 4), np.uint8), 1)]
+    records = [SidecarRecord(3, 0, True), SidecarRecord(7, 1, False)]
+    with pytest.raises(DimensionMismatch,
+                       match="^frame 7 is 4x6, reference is 4x4$"):
+        list(reconstruct_stream(frames, records))
+
+
+def test_masked_rebuild_makes_no_frame_sized_temporary():
+    """Rebuilding a masked 1080p YUV420 position allocates its output luma
+    and, once per stream, the two band buffers; the kernels run on the
+    whole frame would hold two or three frame-sized temporaries."""
+    width, height = 1920, 1080
+    rng = np.random.default_rng(27)
+    frames = [random_frame(rng, width, height, PixelFormat.YUV420, i)
+              for i in range(2)]
+    records = [SidecarRecord(0, 0, True), SidecarRecord(1, 1, False)]
+    stream = reconstruct_stream(frames, records)
+    next(stream)
+    tracemalloc.start()
+    try:
+        masked = next(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not masked.is_full
+    band = _BAND_BYTES // width * width
+    assert peak <= width * height + 2 * band + 16 * 1024
 
 
 def compressed_fixture(pixel_format=PixelFormat.GRAY8):
