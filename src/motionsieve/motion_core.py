@@ -178,29 +178,29 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
         raise ValueError("dilation radius must be >= 0")
     if radius == 0 or not mask.any():
         return mask
-    # Separable shift-OR over a zero-padded copy, rows and then columns.
-    # After a step that ORs in the slice ``step`` ahead, each cell holds
-    # the OR of the ``covered`` cells from it onward, so doubling reaches
-    # the 2r+1 window in ceil(log2(2r+1)) steps per axis.
+    # Separable shift-OR in one zero-padded buffer: rows on the 2-D view, then
+    # the kept rows flat, where each row's 2r zero pads keep a kept cell's
+    # window inside it.  A radius past the grid already covers all of it.
     h, w = mask.shape
-    span = 2 * radius + 1
-    tall = np.zeros((h + 2 * radius, w), dtype=bool)
-    tall[radius : radius + h] = mask
-    grown = np.zeros((h, w + 2 * radius), dtype=bool)
-    grown[:, radius : radius + w] = _window_or(tall, span)[:h]
-    return _window_or(grown.T, span).T[:, :w]
+    radius = min(radius, max(h, w))
+    span, width = 2 * radius + 1, w + 2 * radius
+    flat = np.zeros((h + 2 * radius) * width, dtype=bool)
+    padded = flat.reshape(-1, width)
+    padded[radius : radius + h, radius : radius + w] = mask
+    _window_or(padded, span)
+    _window_or(flat[: h * width], span)
+    return padded[:h, :w]
 
 
-def _window_or(padded: np.ndarray, span: int) -> np.ndarray:
-    """OR ``padded`` in place over windows of ``span`` rows; row i then
-    holds the OR of rows i .. i+span-1, for every i whose window lies
-    inside the array."""
+def _window_or(padded: np.ndarray, span: int) -> None:
+    """OR ``padded`` in place so row i holds the OR of rows i .. i+span-1,
+    for every i whose window lies inside the array.  Each step ORs in the
+    slice ``step`` ahead, doubling to ``span`` in ceil(log2(span)) steps."""
     covered = 1
     while covered < span:
         step = min(covered, span - covered)
         padded[: len(padded) - step] |= padded[step:]
         covered += step
-    return padded
 
 
 def mask_grid_shape(width: int, height: int, factor: int) -> tuple[int, int]:

@@ -175,6 +175,25 @@ def test_config_key_matches_flag(tmp_path, spelling, value):
     assert from_file != outputs("default", [])
 
 
+def test_compress_with_a_buffer_past_the_grid_matches_one_that_covers_it(
+    tmp_path,
+):
+    """A --buffer far past the analysis grid (32x24 here) grows a mask no
+    further than one that already covers the grid, and must not pad the
+    grid by the radius itself, which would take gigabytes."""
+    src = os.path.join(tmp_path, "sq.y4m")
+    header = StreamHeader(64, 48, 30, 1, PixelFormat.GRAY8)
+    frames = moving_square_video(64, 48, 12, background=60, step=2)
+    with open(src, "wb") as fh:
+        fh.write(frames_to_y4m(header, frames))
+    huge = _compressed_bytes(
+        src, os.path.join(tmp_path, "huge"), ["--buffer", "1000000000"]
+    )
+    assert huge == _compressed_bytes(
+        src, os.path.join(tmp_path, "covers"), ["--buffer", "32"]
+    )
+
+
 def _compressed_bytes(src, prefix, extra):
     """The bytes of the video and the sidecar that compress writes from
     ``src`` to ``prefix`` with the flags ``extra``."""

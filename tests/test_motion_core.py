@@ -238,7 +238,11 @@ def test_threshold_is_strict():
 
 
 def test_dilate_zero_radius_is_identity():
+    """Radius 0, or a mask with no cell set, returns the input itself; the
+    benchmark tells dilate calls that grew a mask by a result that is not
+    the input."""
     mask = np.zeros((4, 4), dtype=bool)
+    assert dilate(mask, 3) is mask
     mask[1, 2] = True
     assert dilate(mask, 0) is mask
 
@@ -275,18 +279,25 @@ def test_dilate_matches_bruteforce(mask, radius):
     assert got.tolist() == oracle_dilate(mask.tolist(), radius)
 
 
-@pytest.mark.parametrize("radius", [*range(10), 50])
+@pytest.mark.parametrize("radius", [*range(10), 50, 10**9])
 @pytest.mark.parametrize("shape", [(1, 37), (37, 1), (23, 31)])
 def test_dilate_every_radius_matches_bruteforce(radius, shape):
-    """Radii 0-9 and one past the grid's size: the doubling ORs a shorter
+    """Radii 0-9 and two past the grid's size: the doubling ORs a shorter
     slice in its last step at most radii, and a strip or a grid smaller
-    than the kernel leaves every slice reaching past an edge."""
+    than the kernel leaves every slice reaching past an edge.  Padding by
+    the radius itself would take (h+2r)(w+2r) bytes, so the peak is bound."""
     rng = np.random.default_rng(radius * 100 + shape[0])
     for density in (0.02, 0.1):
         mask = rng.random(shape) < density
         mask.flat[rng.integers(mask.size)] = True
-        got = dilate(mask, radius)
+        tracemalloc.start()
+        try:
+            got = dilate(mask, radius)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert got.tolist() == oracle_dilate(mask.tolist(), radius)
+        assert peak < 64 * 1024
 
 
 @given(
