@@ -8,11 +8,12 @@ parse/serialize round trip does not lose information.  Three pixel layouts
 are supported:
 
 * ``GRAY8``  -- single luma plane, ``w*h`` bytes per frame (``Cmono``)
-* ``RGB24``  -- planar R, G, B, ``3*w*h`` bytes per frame.  Carried under
-  the ``C444`` tag with planes read in R, G, B order; Y4M has no RGB tag,
-  so this is a local convention, not an interchange guarantee.
+* ``YUV444`` -- planar Y, U, V at full resolution, ``3*w*h`` bytes per
+  frame (``C444``)
 * ``YUV420`` -- planar Y, U, V with 2x2-subsampled chroma, ``w*h*3/2``
   bytes per frame (``C420`` family); width and height must be even
+
+Every layout starts with its ``w*h`` luma plane.
 
 Raw planar files (no header, concatenated payloads) cover fixtures where
 exact bytes matter.  Compressed containers are never parsed here; they are
@@ -66,14 +67,14 @@ _MAX_DIMENSION = 16384
 
 class PixelFormat(Enum):
     GRAY8 = "gray8"
-    RGB24 = "rgb24"
+    YUV444 = "yuv444"
     YUV420 = "yuv420"
 
     def frame_size(self, width: int, height: int) -> int:
         """Payload size in bytes for one frame at the given dimensions."""
         if self is PixelFormat.GRAY8:
             return width * height
-        if self is PixelFormat.RGB24:
+        if self is PixelFormat.YUV444:
             return 3 * width * height
         return width * height * 3 // 2
 
@@ -84,13 +85,13 @@ _COLORSPACE_TO_FORMAT = {
     "420jpeg": PixelFormat.YUV420,
     "420mpeg2": PixelFormat.YUV420,
     "420paldv": PixelFormat.YUV420,
-    "444": PixelFormat.RGB24,
+    "444": PixelFormat.YUV444,
 }
 
 _FORMAT_TO_COLORSPACE = {
     PixelFormat.GRAY8: "mono",
     PixelFormat.YUV420: "420",
-    PixelFormat.RGB24: "444",
+    PixelFormat.YUV444: "444",
 }
 
 

@@ -1,19 +1,19 @@
 """Per-frame motion analysis: what changed, and is it worth keeping.
 
-A frame is reduced to grayscale, downscaled by block averaging, and
-differenced against the previous frame's reduction.  Pixels whose absolute
-difference strictly exceeds the threshold form the raw motion mask, which
-is then grown by a square dilation so the kept region carries some
-surrounding context.  Depending on the mask population and the keyframe
-cadence, the frame is dropped, emitted masked (bytes outside the motion
-region zeroed), or emitted whole.
+A frame's luma plane is downscaled by block averaging and differenced
+against the previous frame's reduction.  Pixels whose absolute difference
+strictly exceeds the threshold form the raw motion mask, which is then
+grown by a square dilation so the kept region carries some surrounding
+context.  Depending on the mask population and the keyframe cadence, the
+frame is dropped, emitted masked (bytes outside the motion region zeroed),
+or emitted whole.
 
 Gray frames are 2-D uint8 arrays, rows x cols.  Motion masks are 2-D bool
 arrays on the downscaled grid; ragged right/bottom edges round up, so a
 mask covers ceil(h/s) x ceil(w/s) cells.
 
 All integer roundings here are half-up, chosen once and used everywhere a
-mean or a weighted sum must land on a uint8.
+mean must land on a uint8.
 """
 
 from __future__ import annotations
@@ -62,21 +62,11 @@ class MotionConfig:
 
 
 def to_grayscale(frame: Frame) -> np.ndarray:
-    """Luma view of a frame as a (h, w) uint8 array.
-
-    GRAY8 is returned as-is, YUV420 contributes its Y plane, and RGB uses
-    integer BT.601 weights with half-up rounding:
-    (299 R + 587 G + 114 B + 500) // 1000.
-    """
+    """Luma of a frame as a read-only (h, w) uint8 view of its first plane:
+    the gray plane of GRAY8 and the Y plane of YUV444 and YUV420.  Nothing
+    is computed or copied."""
     h, w = frame.height, frame.width
-    raw = np.frombuffer(frame.data, dtype=np.uint8)
-    if frame.pixel_format is PixelFormat.GRAY8:
-        return raw.reshape(h, w)
-    if frame.pixel_format is PixelFormat.YUV420:
-        return raw[: w * h].reshape(h, w)
-    planes = raw.reshape(3, h, w).astype(np.uint32)
-    weighted = 299 * planes[0] + 587 * planes[1] + 114 * planes[2] + 500
-    return (weighted // 1000).astype(np.uint8)
+    return np.frombuffer(frame.data, np.uint8, w * h).reshape(h, w)
 
 
 def downscale(gray: np.ndarray, factor: int) -> np.ndarray:
@@ -230,20 +220,19 @@ def apply_mask(frame: Frame, mask: np.ndarray, factor: int = 1) -> Frame:
 
     Pixel (y, x) is kept when grid cell (y // factor, x // factor) is set,
     so the mask is ceil(h/s) x ceil(w/s); factor 1 means a full-resolution
-    mask.  For YUV420 a chroma sample survives if any of its four luma
-    sites survives, so kept luma never loses its color.  At an even factor
-    each 2x2 chroma site lies inside one grid cell, so U and V take the
-    grid at factor s/2; at an odd factor the four sites are ORed on the
-    grid.  The masked frame's data is a read-only view of the array it was
-    masked into, not a copy of it.
+    mask.  Every full-resolution plane (GRAY8's one, YUV444's three and
+    YUV420's Y) takes the grid as is.  For YUV420 a chroma sample survives
+    if any of its four luma sites survives, so kept luma never loses its
+    color.  At an even factor each 2x2 chroma site lies inside one grid
+    cell, so U and V take the grid at factor s/2; at an odd factor the
+    four sites are ORed on the grid.  The masked frame's data is a
+    read-only view of the array it was masked into, not a copy of it.
     """
     h, w = frame.height, frame.width
     _check_grid(mask, factor, w, h)
     raw = np.frombuffer(frame.data, dtype=np.uint8)
     kept = np.empty_like(raw)
-    # Every full-resolution plane (gray, Y, or R, G and B) takes the grid at
-    # the factor; 4:2:0 U and V then take the chroma mask.
-    planes = 3 if frame.pixel_format is PixelFormat.RGB24 else 1
+    planes = 3 if frame.pixel_format is PixelFormat.YUV444 else 1
     full_end = planes * h * w
     _mask_planes(
         raw[:full_end].reshape(planes, h, w),

@@ -8,23 +8,10 @@ from motionsieve import Frame, PixelFormat
 
 
 def oracle_gray(frame: Frame) -> list[list[int]]:
+    """The first w*h bytes as rows: every layout stores its luma first."""
     w, h = frame.width, frame.height
     data = frame.data
-    if frame.pixel_format is PixelFormat.GRAY8:
-        return [[data[y * w + x] for x in range(w)] for y in range(h)]
-    if frame.pixel_format is PixelFormat.YUV420:
-        return [[data[y * w + x] for x in range(w)] for y in range(h)]
-    plane = w * h
-    out = []
-    for y in range(h):
-        row = []
-        for x in range(w):
-            r = data[y * w + x]
-            g = data[plane + y * w + x]
-            b = data[2 * plane + y * w + x]
-            row.append((299 * r + 587 * g + 114 * b + 500) // 1000)
-        out.append(row)
-    return out
+    return [[data[y * w + x] for x in range(w)] for y in range(h)]
 
 
 def oracle_downscale(grid: list[list[int]], factor: int) -> list[list[int]]:
@@ -92,7 +79,7 @@ def oracle_apply_mask(frame: Frame, mask: list[list[bool]]) -> bytes:
             for y in range(h)
             for x in range(w)
         )
-    if frame.pixel_format is PixelFormat.RGB24:
+    if frame.pixel_format is PixelFormat.YUV444:
         plane = w * h
         out = bytearray()
         for p in range(3):

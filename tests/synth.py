@@ -16,39 +16,49 @@ def gray_frame(array, index: int = 0) -> Frame:
     return Frame(index, w, h, PixelFormat.GRAY8, array.tobytes())
 
 
-def rgb_frame(r, g, b, index: int = 0) -> Frame:
-    planes = [np.asarray(p, dtype=np.uint8) for p in (r, g, b)]
-    h, w = planes[0].shape
-    return Frame(
-        index, w, h, PixelFormat.RGB24, b"".join(p.tobytes() for p in planes)
-    )
-
-
 def yuv_frame(y, u, v, index: int = 0) -> Frame:
+    """A YUV420 frame, or a YUV444 one when the chroma planes are the size
+    of the luma plane."""
     y = np.asarray(y, dtype=np.uint8)
     u = np.asarray(u, dtype=np.uint8)
     v = np.asarray(v, dtype=np.uint8)
     h, w = y.shape
+    pixel_format = (
+        PixelFormat.YUV444 if u.shape == y.shape else PixelFormat.YUV420
+    )
     return Frame(
-        index, w, h, PixelFormat.YUV420,
-        y.tobytes() + u.tobytes() + v.tobytes(),
+        index, w, h, pixel_format, y.tobytes() + u.tobytes() + v.tobytes()
     )
 
 
 def frame_from_luma(luma, pixel_format: PixelFormat, index: int = 0) -> Frame:
     """Wrap a luma pattern in any supported layout.
 
-    RGB uses the luma for all three planes (so its grayscale reduction is
-    the original pattern again); YUV420 gets mid-gray chroma.
+    YUV444 uses the luma for all three planes; YUV420 gets mid-gray
+    chroma.
     """
     luma = np.asarray(luma, dtype=np.uint8)
     if pixel_format is PixelFormat.GRAY8:
         return gray_frame(luma, index)
-    if pixel_format is PixelFormat.RGB24:
-        return rgb_frame(luma, luma, luma, index)
+    if pixel_format is PixelFormat.YUV444:
+        return yuv_frame(luma, luma, luma, index)
     h, w = luma.shape
     chroma = np.full((h // 2, w // 2), 128, dtype=np.uint8)
     return yuv_frame(luma, chroma, chroma, index)
+
+
+def rising_box_yuv444() -> list[Frame]:
+    """Three 64x48 YUV444 frames whose 20x20 luma box is 60 levels brighter
+    in frame 1 alone.  The chroma planes never change, so the motion is in
+    plane 0 only."""
+    still = np.full((48, 64), 60, dtype=np.uint8)
+    risen = still.copy()
+    risen[14:34, 22:42] += 60
+    chroma = np.full((48, 64), 128, dtype=np.uint8)
+    return [
+        yuv_frame(luma, chroma, chroma, i)
+        for i, luma in enumerate((still, risen, still))
+    ]
 
 
 def frames_to_y4m(header: StreamHeader, frames) -> bytes:
@@ -116,7 +126,7 @@ def random_video(seed: int, max_side: int = 64, max_frames: int = 40):
     and keyframe promotions all occur across the corpus.  Returns
     (header, frames)."""
     rng = np.random.default_rng(seed)
-    pixel_format = [PixelFormat.GRAY8, PixelFormat.RGB24, PixelFormat.YUV420][
+    pixel_format = [PixelFormat.GRAY8, PixelFormat.YUV444, PixelFormat.YUV420][
         int(rng.integers(0, 3))
     ]
     width = int(rng.integers(2, max_side + 1))

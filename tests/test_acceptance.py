@@ -250,7 +250,7 @@ def test_mask_correctness_at_each_factor(factor):
                           keyframe_interval=4, min_motion_pixels=1)
     for pixel_format, width, height in (
         (PixelFormat.GRAY8, 37, 23),
-        (PixelFormat.RGB24, 29, 19),
+        (PixelFormat.YUV444, 29, 19),
         (PixelFormat.YUV420, 38, 26),
     ):
         frames = moving_square_video(

@@ -32,7 +32,7 @@ from motionsieve import (
     write_sidecar,
 )
 from motionsieve.frame_io import _CodecChild, serialize_y4m_header
-from synth import frames_to_y4m, gray_frame, moving_square_video
+from synth import frames_to_y4m, gray_frame, moving_square_video, rising_box_yuv444
 
 GZ_DECODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec decode {{input}}"
 GZ_ENCODE = f"{shlex.quote(sys.executable)} -m motionsieve.gzcodec encode {{output}}"
@@ -305,9 +305,11 @@ def test_compress_rejects_unknown_config_key(tmp_path):
         ["compress", "--input", "x", "--output", "o", "--threshold", "abc"],
         ["compress", "--input", "x", "--output", "o", "--no-such-flag"],
         ["stats", "--frames-in", "many", "--frames-out", "1"],
+        ["compress", "--input", "x", "--output", "o", "--raw-format", "rgb24",
+         "--size", "4x4"],
     ],
     ids=["no-command", "unknown-command", "missing-flag", "not-an-int",
-         "unknown-flag", "stats-not-an-int"],
+         "unknown-flag", "stats-not-an-int", "removed-rgb24"],
 )
 def test_argument_errors_keep_the_error_contract(argv):
     """An argument error found while parsing the command line is one
@@ -527,6 +529,26 @@ def test_raw_input_frame_rate(tmp_path, fps, tag):
     assert code == 0, err
     with open(prefix + ".y4m", "rb") as fh:
         assert fh.readline() == b"YUV4MPEG2 W16 H16 " + tag + b" Cmono\n"
+
+
+def test_raw_yuv444_compresses_like_its_c444_clip(tmp_path):
+    """Raw --raw-format yuv444 payloads are read as the C444 clip that holds
+    them, so both compress to the same bytes, motion frames included."""
+    frames = rising_box_yuv444()
+    c444 = os.path.join(tmp_path, "clip.y4m")
+    raw = os.path.join(tmp_path, "clip.raw")
+    with open(c444, "wb") as fh:
+        fh.write(
+            frames_to_y4m(StreamHeader(64, 48, 30, 1, PixelFormat.YUV444), frames)
+        )
+    with open(raw, "wb") as fh:
+        fh.write(b"".join(frame.data for frame in frames))
+    from_c444 = _compressed_bytes(c444, os.path.join(tmp_path, "y4m"), [])
+    assert from_c444[1].count(b"\n") == 4
+    assert from_c444 == _compressed_bytes(
+        raw, os.path.join(tmp_path, "raw"),
+        ["--raw-format", "yuv444", "--size", "64x48"],
+    )
 
 
 @pytest.mark.parametrize(

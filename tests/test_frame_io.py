@@ -75,10 +75,14 @@ def test_parse_header_default_colorspace_is_420():
     assert header.frame_size() == 12
 
 
-def test_parse_header_c444_is_planar_rgb():
-    header = parse_y4m_header(header_stream("YUV4MPEG2 W3 H2 C444\n"))
-    assert header.pixel_format is PixelFormat.RGB24
+def test_parse_header_c444_is_yuv444():
+    """C444 is full-resolution Y, U, V, at odd sizes too, and is written
+    back under the same tag."""
+    line = "YUV4MPEG2 W3 H2 F30:1 C444\n"
+    header = parse_y4m_header(header_stream(line))
+    assert header.pixel_format is PixelFormat.YUV444
     assert header.frame_size() == 18
+    assert serialize_y4m_header(header) == line.encode("ascii")
 
 
 def test_parse_header_fractional_fps():
@@ -398,9 +402,9 @@ def test_y4m_writer_lets_a_broken_pipe_through():
 
 
 def test_codec_encoder_writes_a_view_byte_for_byte(tmp_path):
-    header = StreamHeader(6, 4, 30, 1, PixelFormat.RGB24)
+    header = StreamHeader(6, 4, 30, 1, PixelFormat.YUV444)
     rng = np.random.default_rng(12)
-    frames = [random_frame(rng, 6, 4, PixelFormat.RGB24, i) for i in range(3)]
+    frames = [random_frame(rng, 6, 4, PixelFormat.YUV444, i) for i in range(3)]
     copy = (
         "import shutil, sys; "
         "shutil.copyfileobj(sys.stdin.buffer, open(sys.argv[1], 'wb'))"
@@ -451,9 +455,9 @@ def test_y4m_write_read_roundtrip(data):
 
 
 def test_raw_roundtrip():
-    header = StreamHeader(5, 3, 30, 1, PixelFormat.RGB24)
+    header = StreamHeader(5, 3, 30, 1, PixelFormat.YUV444)
     rng = np.random.default_rng(3)
-    frames = [random_frame(rng, 5, 3, PixelFormat.RGB24, i) for i in range(4)]
+    frames = [random_frame(rng, 5, 3, PixelFormat.YUV444, i) for i in range(4)]
     reader = RawReader(io.BytesIO(b"".join(f.data for f in frames)), header)
     out = list(reader)
     assert [f.data for f in out] == [f.data for f in frames]

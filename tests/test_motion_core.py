@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from oracles import (
     oracle_gray,
     oracle_upscale,
 )
-from synth import frame_from_luma, gray_frame, random_frame, rgb_frame, yuv_frame
+from synth import frame_from_luma, gray_frame, random_frame, yuv_frame
 
 small_arrays = npst.arrays(
     dtype=np.uint8, shape=st.tuples(st.integers(1, 20), st.integers(1, 20))
@@ -65,36 +64,14 @@ def test_grayscale_gray_is_identity():
 
 
 def test_grayscale_yuv_is_luma_plane():
+    """YUV420 and YUV444 luma is a view of the payload's first plane."""
     y = np.arange(16, dtype=np.uint8).reshape(4, 4)
-    chroma = np.full((2, 2), 99, dtype=np.uint8)
-    assert np.array_equal(to_grayscale(yuv_frame(y, chroma, chroma)), y)
-
-
-@pytest.mark.parametrize(
-    "rgb,expected",
-    [
-        ((255, 255, 255), 255),
-        ((0, 0, 0), 0),
-        ((255, 0, 0), 76),
-        ((0, 255, 0), 150),
-        ((0, 0, 255), 29),
-        ((100, 100, 100), 100),
-    ],
-)
-def test_grayscale_rgb_weights(rgb, expected):
-    r, g, b = (np.full((1, 1), v, dtype=np.uint8) for v in rgb)
-    assert to_grayscale(rgb_frame(r, g, b))[0, 0] == expected
-
-
-@given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-def test_grayscale_rgb_rounds_half_up(r, g, b):
-    """Integer grayscale sits within half a step of the exact weighted sum,
-    on the half-up side."""
-    r_a, g_a, b_a = (np.full((1, 1), v, dtype=np.uint8) for v in (r, g, b))
-    got = int(to_grayscale(rgb_frame(r_a, g_a, b_a))[0, 0])
-    exact = Fraction(299 * r + 587 * g + 114 * b, 1000)
-    assert got == (299 * r + 587 * g + 114 * b + 500) // 1000
-    assert abs(Fraction(got) - exact) <= Fraction(1, 2)
+    for side in (2, 4):
+        chroma = np.full((side, side), 99, dtype=np.uint8)
+        frame = yuv_frame(y, chroma, chroma)
+        gray = to_grayscale(frame)
+        assert np.array_equal(gray, y), frame.pixel_format
+        assert np.shares_memory(gray, np.frombuffer(frame.data, np.uint8))
 
 
 def test_downscale_identity():
@@ -402,12 +379,12 @@ def test_apply_mask_gray_checkerboard():
     assert list(out.data) == [128, 0, 0, 128]
 
 
-def test_apply_mask_rgb_masks_every_plane():
-    r = np.full((2, 2), 10, dtype=np.uint8)
-    g = np.full((2, 2), 20, dtype=np.uint8)
-    b = np.full((2, 2), 30, dtype=np.uint8)
+def test_apply_mask_yuv444_masks_every_plane():
+    y = np.full((2, 2), 10, dtype=np.uint8)
+    u = np.full((2, 2), 20, dtype=np.uint8)
+    v = np.full((2, 2), 30, dtype=np.uint8)
     mask = np.array([[True, False], [False, False]])
-    out = apply_mask(rgb_frame(r, g, b), mask)
+    out = apply_mask(yuv_frame(y, u, v), mask)
     assert list(out.data) == [10, 0, 0, 0, 20, 0, 0, 0, 30, 0, 0, 0]
 
 
@@ -470,7 +447,7 @@ def test_apply_mask_yuv_chroma_kept_from_each_luma_site(seed):
 
 def _grid_sizes(pixel_format, factor):
     """(width, height) pairs that give exact and ragged grids at ``factor``:
-    odd sizes for GRAY8 and RGB24, even sizes for 4:2:0 that the factor
+    odd sizes for GRAY8 and YUV444, even sizes for 4:2:0 that the factor
     does not divide."""
     if pixel_format is PixelFormat.YUV420:
         return [(12, 12), (14, 10), (2 * factor + 2, 4 * factor - 2)]
@@ -681,7 +658,7 @@ def test_analyse_rejects_dimension_change():
     _, state = analyse(state, config, gray_frame(np.zeros((8, 8), np.uint8), 0))
     with pytest.raises(DimensionMismatch):
         analyse(state, config, gray_frame(np.zeros((8, 10), np.uint8), 1))
-    frame = frame_from_luma(np.zeros((8, 8), np.uint8), PixelFormat.RGB24, 1)
+    frame = frame_from_luma(np.zeros((8, 8), np.uint8), PixelFormat.YUV444, 1)
     with pytest.raises(DimensionMismatch):
         analyse(state, config, frame)
 

@@ -32,6 +32,7 @@ from motionsieve.reconstruct import env_frame, rec_frame
 from motionsieve.sidecar import SidecarWriter
 from synth import (
     frame_from_luma, frames_to_y4m, gray_frame, moving_square_luma, random_video,
+    records_to_csv, rising_box_yuv444,
 )
 
 VARIED_CONFIG = MotionConfig(
@@ -106,6 +107,15 @@ def test_static_source_single_row():
     kept, records = reference_compress(frames, MotionConfig())
     assert len(kept) == 1
     assert records == [SidecarRecord(0, 0, True)]
+
+
+def test_yuv444_motion_in_the_luma_plane_alone_is_kept():
+    """A 60-level luma rise is motion at the default threshold of 25 in a
+    C444 clip too: analysis reads plane 0, not a mix of Y, U and V."""
+    frames = rising_box_yuv444()
+    kept, records = reference_compress(frames, MotionConfig())
+    assert [frame.index for frame in kept] == [0, 1, 2]
+    assert records_to_csv(records).splitlines()[1:] == ["0,0,1", "1,1,1", "2,2,0"]
 
 
 def test_failing_source_raises_its_own_error():

@@ -275,10 +275,10 @@ def test_more_rows_than_frames_rejected():
 
 
 def test_color_frames_pass_through_untouched():
-    header, kept, records = compressed_fixture(PixelFormat.RGB24)
+    header, kept, records = compressed_fixture(PixelFormat.YUV444)
     for item, frame in zip(reconstruct_stream(kept, records), kept):
         assert item.color.data == frame.data
-        assert item.color.pixel_format is PixelFormat.RGB24
+        assert item.color.pixel_format is PixelFormat.YUV444
 
 
 def test_reconstruct_files_layout(tmp_path):
