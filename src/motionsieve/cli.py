@@ -261,7 +261,12 @@ def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]
     config, decode_cmd, encode_cmd = motion
     paths = prefix + (".enc" if encode_cmd else ".y4m"), prefix + ".csv"
     _refuse_to_replace(paths, [("--input", ns.input), ("--config", ns.config)])
-    with committed(paths) as (video_partial, sidecar_partial), ExitStack() as streams:
+    # The compressed outputs may be the only copy of the footage, so they
+    # are made durable; reconstruct's can be rebuilt from them.
+    with (
+        committed(paths, durable=True) as (video_partial, sidecar_partial),
+        ExitStack() as streams,
+    ):
         source = _open_source(ns, decode_cmd, streams)
         if encode_cmd:
             video_sink = CodecEncoder(encode_cmd, video_partial, source.header)

@@ -459,14 +459,41 @@ def count_y4m_frames(path) -> int:
 
 
 @contextmanager
-def committed(paths: Sequence[str]) -> Iterator[list[str]]:
+def committed(paths: Sequence[str], *, durable: bool = False) -> Iterator[list[str]]:
     """Yield the ``*.partial`` name each of ``paths`` is written under, and
     rename them all into place once the block ends without an error, so a
     failed run leaves only ``*.partial`` files.  Close every stream inside
-    the block, so that a failed close, such as a codec's exit, stops it."""
+    the block, so that a failed close, such as a codec's exit, stops it.
+
+    ``durable`` fsyncs each ``*.partial`` before its rename and, after the
+    last rename, each directory renamed into, where the platform lets a
+    directory be opened.  Without it a power cut soon after the run can
+    leave a final name over a file whose data never reached the disk."""
     yield [path + ".partial" for path in paths]
     for path in paths:
+        if durable:
+            _fsync(path + ".partial")
         os.replace(path + ".partial", path)
+    if durable:
+        directories = (os.path.dirname(os.path.abspath(path)) for path in paths)
+        for directory in dict.fromkeys(directories):
+            _fsync(directory)
+
+
+def _fsync(path: str) -> None:
+    """Flush a file, or a directory's entries, to the disk by path.  A
+    directory that the platform will not open, as Windows will not, is
+    left as it is."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except PermissionError:
+        if os.path.isdir(path):
+            return
+        raise
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class _StderrDrain(threading.Thread):

@@ -8,6 +8,12 @@ context.  Depending on the mask population and the keyframe cadence, the
 frame is dropped, emitted masked (bytes outside the motion region zeroed),
 or emitted whole.
 
+A frame that follows a drop is first compared with it pixel by pixel at
+full resolution.  When no pixel differs by more than the threshold, no
+block mean can either, so the raw mask would be empty: the frame is
+dropped without being downscaled, and the outcome is the same as the
+grid comparison's.
+
 Gray frames are 2-D uint8 arrays, rows x cols.  Motion masks are 2-D bool
 arrays on the downscaled grid; ragged right/bottom edges round up, so a
 mask covers ceil(h/s) x ceil(w/s) cells.
@@ -26,6 +32,11 @@ import numpy as np
 from .errors import DimensionMismatch
 from .frame_io import Frame, PixelFormat, check_geometry
 from .sidecar import SidecarRecord
+
+# Full-resolution per-pixel kernels walk a frame this many bytes of rows at
+# a time (136 rows at 1080p), so that their operands stay in a core's L2
+# cache.
+_BAND_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,21 @@ def abs_diff(
     diff = np.maximum(prev, curr, out=out)
     diff -= np.minimum(prev, curr, out=scratch)
     return diff
+
+
+def _within(prev: np.ndarray, curr: np.ndarray, threshold: int) -> bool:
+    """Whether no pixel of ``curr`` differs from ``prev`` by more than
+    ``threshold``.  The planes are compared in row bands, and the first
+    band with a larger difference ends the comparison."""
+    height, width = curr.shape
+    rows = max(1, _BAND_BYTES // width)
+    diff, low = np.empty((2, min(rows, height), width), np.uint8)
+    for top in range(0, height, rows):
+        band = slice(top, top + rows)
+        used = min(rows, height - top)
+        if abs_diff(prev[band], curr[band], diff[:used], low[:used]).max() > threshold:
+            return False
+    return True
 
 
 def check_gray_pair(a: np.ndarray, b: np.ndarray) -> None:
@@ -334,7 +360,12 @@ class AnalysisState:
 
     geometry: the first frame's (width, height, pixel_format), which every
         later frame must match; None before the first frame.
-    prev_gray: the previous input frame's downscaled luma, dropped or not.
+    prev_gray: the previous input frame's downscaled luma, dropped or not;
+        None before the first frame and after a drop decided on
+        ``prev_luma`` alone, which left it uncomputed.
+    prev_luma: when the previous input frame was dropped, a read-only
+        view of its luma at full resolution, else None.  Frames cannot
+        change, so the view is safe to hold.
     out_index: output position the next emitted frame takes.
     since_keyframe: frames emitted since the last full frame of the current
         motion run, or None outside a run.  The first frame starts no run,
@@ -343,6 +374,7 @@ class AnalysisState:
 
     geometry: tuple[int, int, PixelFormat] | None = None
     prev_gray: np.ndarray | None = None
+    prev_luma: np.ndarray | None = None
     out_index: int = 0
     since_keyframe: int | None = None
 
@@ -358,19 +390,38 @@ def analyse(
     or a motion run, or when it is the keyframe_interval-th emitted frame
     since the run's last full frame, so reconstruction references stay
     fresh; every other emitted frame is masked.
+
+    After a drop, the frame's luma is first compared with the dropped
+    frame's pixel by pixel.  If no pixel differs by more than the
+    threshold, then no tile's mean does either: for a tile of c pixels the
+    sums differ by at most c * threshold, and half-up rounding moves the
+    difference of the means by less than one.  The raw mask would then be
+    empty, so the frame is dropped without downscaling it.  Otherwise the
+    dropped frame's reduction is computed if that drop skipped it, and the
+    frame is analysed on the grid as usual.  Either way the outcome is the
+    same.
     """
     geometry = state.geometry or (frame.width, frame.height, frame.pixel_format)
     check_geometry(frame, geometry)
-    gray = downscale(to_grayscale(frame), config.downscale)
+    luma = to_grayscale(frame)
+    prev_luma = state.prev_luma
+    if prev_luma is not None and _within(prev_luma, luma, config.threshold):
+        return _DROP, replace(state, prev_gray=None, prev_luma=luma)
+    gray = downscale(luma, config.downscale)
+    prev_gray = state.prev_gray
+    if prev_gray is None and prev_luma is not None:
+        prev_gray = downscale(prev_luma, config.downscale)
 
     mask = None
-    if state.prev_gray is not None:
+    if prev_gray is not None:
         mask = dilate(
-            threshold_mask(abs_diff(state.prev_gray, gray), config.threshold),
+            threshold_mask(abs_diff(prev_gray, gray), config.threshold),
             config.buffer_radius,
         )
         if np.count_nonzero(mask) < config.min_motion_pixels:
-            return _DROP, replace(state, prev_gray=gray, since_keyframe=None)
+            return _DROP, replace(
+                state, prev_gray=gray, prev_luma=luma, since_keyframe=None
+            )
 
     since = None if state.since_keyframe is None else state.since_keyframe + 1
     full = since is None or since >= config.keyframe_interval
@@ -381,5 +432,5 @@ def analyse(
     else:
         frame = apply_mask(frame, mask, config.downscale)
     return AnalysisOutcome(frame, record), AnalysisState(
-        geometry, gray, state.out_index + 1, since
+        geometry, gray, None, state.out_index + 1, since
     )

@@ -27,17 +27,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingReference, SidecarMismatch
 from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter, _Sink, committed
-from .motion_core import abs_diff, check_gray_pair, to_grayscale
+from .motion_core import _BAND_BYTES, abs_diff, check_gray_pair, to_grayscale
 from .pipeline import _run_stages
 from .sidecar import SidecarRecord
 
 # What reconstruct_files appends to its output prefix: the color stream,
 # the rebuilt grayscale stream and the alignment table.
 OUTPUT_SUFFIXES = (".dl.y4m", ".fgbg.y4m", ".align.csv")
-
-# A masked position is rebuilt this many bytes of rows at a time (136 rows
-# at 1080p), so that both kernels' operands stay in a core's L2 cache.
-_BAND_BYTES = 256 * 1024
 
 # The environment estimate |ref - mot| of equal-shape uint8 gray frames is
 # the absolute difference that motion analysis thresholds.

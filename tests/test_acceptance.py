@@ -224,21 +224,18 @@ def test_mask_correctness():
     assert elapsed < 10.0
 
 
-def _compress_matches_oracle(frames, config) -> int:
+def _compress_matches_oracle(frames, config) -> list[str]:
     """Assert that reference_compress stores exactly what the oracle
-    simulation stores; returns the number of masked frames."""
+    simulation stores; returns the oracle's kind of each input frame."""
     kept, records = reference_compress(frames, config)
-    expected = [
-        (data, record)
-        for kind, data, record in simulate_compress(frames, config)
-        if kind != "drop"
-    ]
+    simulated = simulate_compress(frames, config)
+    expected = [(data, record) for kind, data, record in simulated if kind != "drop"]
     got = [
         (frame.data, (r.input_frame, r.output_frame, int(r.full_frame)))
         for frame, r in zip(kept, records, strict=True)
     ]
     assert got == expected
-    return sum(1 for _, record in expected if not record[2])
+    return [kind for kind, _, _ in simulated]
 
 
 @pytest.mark.parametrize("factor", (1, 2, 3, 4, 6))
@@ -256,7 +253,95 @@ def test_mask_correctness_at_each_factor(factor):
         frames = moving_square_video(
             width, height, 12, pixel_format, size=7, step=3
         )
-        assert _compress_matches_oracle(frames, config) > 0, pixel_format
+        assert "masked" in _compress_matches_oracle(frames, config), pixel_format
+
+
+# Where a round of _bound_clip starts, and the offsets within it of the
+# frames whose grid change only rounding decides.
+_ROUND, _ROUNDED = 10, (7, 9)
+
+
+def _bound_clip(width, height, factor, threshold, pixel_format, rng):
+    """Frames whose luma steps by exactly the threshold or by one more.
+
+    After a kept first frame and a drop, each round of _ROUND frames gives:
+    - a drop whose pixels all move by -t, 0 or +t, and the step back;
+    - one grid tile moving by +-(t+1), which must be kept although it
+      follows a drop, then a second tile moving while the first moves
+      back, a repeat, and the step back;
+    - a repeat, then a tile whose pixels move by t or t+1 with one sign,
+      elsewhere by -t, 0 or +t, so that only the half-up rounding of its
+      mean decides between a grid change of t and of t+1; a repeat; and
+      the step back, which rounding decides again.
+    """
+    t = threshold
+    base = rng.integers(t + 1, 255 - t, (height, width))
+    still = np.zeros_like(base)
+    rows, cols = -(-height // factor), -(-width // factor)
+
+    def tile():
+        y, x = int(rng.integers(rows)) * factor, int(rng.integers(cols)) * factor
+        return slice(y, y + factor), slice(x, x + factor)
+
+    def jitter():
+        return rng.choice((-t, 0, t), base.shape)
+
+    def step():
+        moved = still.copy()
+        moved[tile()] = rng.choice((-1, 1)) * (t + 1)
+        return moved
+
+    offsets = [still, still]
+    for _ in range(4):
+        first, second = step(), step()
+        rounded = jitter()
+        cell = tile()
+        pixels = rounded[cell].size
+        moved = np.full(pixels, t)
+        moved[rng.permutation(pixels)[: max(1, int(rng.integers(pixels)))]] += 1
+        rounded[cell] = rng.choice((-1, 1)) * moved.reshape(rounded[cell].shape)
+        offsets += [jitter(), still, first, second, second, still, still,
+                    rounded, rounded, still]
+    return [
+        frame_from_luma((base + offset).astype(np.uint8), pixel_format, i)
+        for i, offset in enumerate(offsets)
+    ]
+
+
+@pytest.mark.parametrize("factor", range(1, 7))
+def test_still_drop_check_matches_oracle_at_the_bound(factor):
+    """A frame that follows a drop is dropped on a per-pixel comparison
+    exactly when the grid comparison drops it.  reference_compress equals
+    the oracle simulation, and run_pipeline at capacities 1 and 64 equals
+    reference_compress, where pixels move by exactly +-t, by +-(t+1) over
+    a whole tile, and by t or t+1 within a tile whose rounding decides, on
+    all three pixel formats and on sizes the factor does not divide."""
+    rng = np.random.default_rng(factor)
+    decided = []
+    for pixel_format, width, height in (
+        (PixelFormat.GRAY8, 37, 23),
+        (PixelFormat.YUV444, 29, 19),
+        (PixelFormat.YUV420, 38, 26),
+    ):
+        for threshold in (1, 25, 63):
+            config = MotionConfig(
+                threshold=threshold, downscale=factor,
+                buffer_radius=int(rng.integers(0, 3)), keyframe_interval=3,
+                min_motion_pixels=1,
+            )
+            frames = _bound_clip(width, height, factor, threshold, pixel_format, rng)
+            kinds = _compress_matches_oracle(frames, config)
+            assert "masked" in kinds
+            decided += [kinds[i + j] for i in range(2, len(kinds), _ROUND)
+                        for j in _ROUNDED]
+            header = StreamHeader(width, height, 30, 1, pixel_format)
+            want = _render_single_pass(header, frames, config)
+            for capacity in (1, 64):
+                assert _render_pipeline(header, frames, config, capacity) == want
+    # A 1x1 tile has no pixel that moves by t alone, so it is always kept;
+    # a larger one is kept or dropped as its rounding falls.
+    assert "drop" in decided or factor == 1
+    assert set(decided) != {"drop"}
 
 
 @pytest.mark.parametrize("keyframe_interval", range(1, 9))
@@ -275,8 +360,8 @@ def test_keyframe_cadence_matches_oracle(keyframe_interval):
         frame_from_luma(patterns[p], PixelFormat.YUV420, i)
         for i, p in enumerate(order)
     ]
-    masked = _compress_matches_oracle(frames, config)
-    assert (masked > 0) == (keyframe_interval > 1)
+    kinds = _compress_matches_oracle(frames, config)
+    assert ("masked" in kinds) == (keyframe_interval > 1)
 
     rng = np.random.default_rng(keyframe_interval)
     for _ in range(3):
@@ -303,7 +388,7 @@ def test_masking_builds_no_full_resolution_mask(monkeypatch):
     config = MotionConfig(threshold=20, downscale=2, buffer_radius=1,
                           keyframe_interval=100, min_motion_pixels=1)
     frames = moving_square_video(48, 32, 20, pixel_format=PixelFormat.YUV420)
-    assert _compress_matches_oracle(frames, config) >= 10
+    assert _compress_matches_oracle(frames, config).count("masked") >= 10
 
 
 def test_reconstruction_identities():

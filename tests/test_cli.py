@@ -83,6 +83,50 @@ def test_compress_static_video(tmp_path):
     assert not os.path.exists(prefix + ".csv.partial")
 
 
+def test_compress_fsyncs_each_output_before_its_rename_then_the_folder(
+    tmp_path, monkeypatch
+):
+    """A power cut soon after compress returns cannot leave a final name
+    over data that never reached the disk: each *.partial is fsynced
+    before its rename, and the folder after the last rename.  reconstruct,
+    whose outputs can be rebuilt, fsyncs nothing."""
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        stat = os.fstat(fd)
+        calls.append(("fsync", (stat.st_dev, stat.st_ino)))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", src, dst))
+        real_replace(src, dst)
+
+    def file_id(path):
+        stat = os.stat(path)
+        return stat.st_dev, stat.st_ino
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    prefix = os.path.join(tmp_path, "out")
+    code, _, err = run_cli(["compress", "--input", src, "--output", prefix])
+    assert code == 0, err
+    expected = []
+    for final in (prefix + ".y4m", prefix + ".csv"):
+        expected += [("fsync", file_id(final)), ("replace", final + ".partial", final)]
+    assert calls == [*expected, ("fsync", file_id(tmp_path))]
+
+    calls.clear()
+    code, _, err = run_cli(
+        ["reconstruct", "--input", prefix + ".y4m", "--sidecar", prefix + ".csv",
+         "--output", os.path.join(tmp_path, "rec")]
+    )
+    assert code == 0, err
+    assert [call[0] for call in calls] == ["replace"] * 3
+
+
 def test_compress_emits_stats_json(tmp_path):
     src = os.path.join(tmp_path, "sq.y4m")
     write_square_y4m(src)

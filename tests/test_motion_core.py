@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as npst
 
-from motionsieve import DimensionMismatch, MotionConfig, PixelFormat
+from motionsieve import DimensionMismatch, MotionConfig, PixelFormat, motion_core
 from motionsieve.motion_core import (
     AnalysisState,
     OutcomeKind,
@@ -592,7 +592,43 @@ def test_analyse_compares_adjacent_inputs_not_last_kept():
     kinds = [o.kind for o in outcomes]
     assert kinds[0] is OutcomeKind.FULL_FRAME
     assert all(k is OutcomeKind.DROP for k in kinds[1:])
-    assert int(state.prev_gray[0, 0]) == 80
+    # The baseline is the last input, 80, not the last kept frame, 0: a
+    # step of exactly the threshold from it drops and one more is stored.
+    at_threshold = gray_frame(np.full((8, 8), 105, dtype=np.uint8), 5)
+    assert analyse(state, config, at_threshold)[0].kind is OutcomeKind.DROP
+    past_threshold = gray_frame(np.full((8, 8), 106, dtype=np.uint8), 5)
+    assert analyse(state, config, past_threshold)[0].kind is OutcomeKind.FULL_FRAME
+
+
+def test_analyse_downscales_no_frame_that_follows_a_still_drop(monkeypatch):
+    """A frame within the threshold of a dropped frame, pixel by pixel, is
+    dropped without a reduction.  A frame that follows a kept one, or that
+    is not within the threshold, is analysed on the grid, and after a
+    skipped reduction it reduces the dropped frame's luma too."""
+    calls = []
+    real = motion_core.downscale
+
+    def counted(gray, factor):
+        calls.append(gray.shape)
+        return real(gray, factor)
+
+    monkeypatch.setattr(motion_core, "downscale", counted)
+    rng = np.random.default_rng(5)
+    # Sensor noise of up to 25 levels, exactly the threshold, on a still
+    # scene, and an 8x8 square that appears, moves and is gone again.
+    noise = rng.integers(0, 26, (12, 24, 32)).astype(np.uint8)
+    lumas = 100 + noise
+    lumas[5, 4:12, 4:12] = 220
+    lumas[6, 4:12, 8:16] = 220
+    lumas[8:] = lumas[7]
+    frames = [gray_frame(luma, i) for i, luma in enumerate(lumas)]
+    outcomes, _ = step_all(frames, MotionConfig())
+    F, M, D = OutcomeKind.FULL_FRAME, OutcomeKind.MASKED, OutcomeKind.DROP
+    assert [o.kind for o in outcomes] == [F, D, D, D, D, F, M, M, D, D, D, D]
+    # One each for frames 0 and 1, none for the drops 2-4, two for frame 5
+    # (frame 4's skipped one and its own), one each for frames 6-8, and
+    # none for the drops 9-11.
+    assert calls == [(24, 32)] * 7
 
 
 def test_analyse_state_prev_gray_updates_every_step():
