@@ -466,8 +466,8 @@ def committed(paths: Sequence[str], *, durable: bool = False) -> Iterator[list[s
     the block, so that a failed close, such as a codec's exit, stops it.
 
     ``durable`` fsyncs each ``*.partial`` before its rename and, after the
-    last rename, each directory renamed into, where the platform lets a
-    directory be opened.  Without it a power cut soon after the run can
+    last rename, each directory renamed into, where the user may read it.
+    Without it a power cut soon after the run can
     leave a final name over a file whose data never reached the disk."""
     yield [path + ".partial" for path in paths]
     for path in paths:
@@ -481,9 +481,9 @@ def committed(paths: Sequence[str], *, durable: bool = False) -> Iterator[list[s
 
 
 def _fsync(path: str) -> None:
-    """Flush a file, or a directory's entries, to the disk by path.  A
-    directory that the platform will not open, as Windows will not, is
-    left as it is."""
+    """Flush a file, or a directory's entries, to the disk by path.  An
+    output directory the user may write but not read cannot be opened, and
+    is left as it is."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except PermissionError:

@@ -12,7 +12,10 @@ A frame that follows a drop is first compared with it pixel by pixel at
 full resolution.  When no pixel differs by more than the threshold, no
 block mean can either, so the raw mask would be empty: the frame is
 dropped without being downscaled, and the outcome is the same as the
-grid comparison's.
+grid comparison's.  Where noise puts some pixel past the threshold on
+still frames, the check fails on frames the grid drops; it then sits out
+1, 3, 7, ... up to 63 drops in a row, so such footage pays for it on few
+frames.
 
 Gray frames are 2-D uint8 arrays, rows x cols.  Motion masks are 2-D bool
 arrays on the downscaled grid; ragged right/bottom edges round up, so a
@@ -37,6 +40,11 @@ from .sidecar import SidecarRecord
 # a time (136 rows at 1080p), so that their operands stay in a core's L2
 # cache.
 _BAND_BYTES = 256 * 1024
+
+# After a still check fails on a frame that the grid comparison then drops,
+# the check sits out the next 1, 3, 7, ... drops, at most this many, until
+# it passes again; see ``AnalysisState``.
+_MAX_CHECK_WAIT = 63
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,14 @@ def abs_diff(
     nothing.  Neither may overlap an operand.
     """
     check_gray_pair(prev, curr)
+    return _abs_diff(prev, curr, out, scratch)
+
+
+def _abs_diff(
+    prev: np.ndarray, curr: np.ndarray, out: np.ndarray | None,
+    scratch: np.ndarray | None,
+) -> np.ndarray:
+    """``abs_diff`` on operands already checked."""
     # max - min never wraps, so the difference needs no wider dtype.
     diff = np.maximum(prev, curr, out=out)
     diff -= np.minimum(prev, curr, out=scratch)
@@ -166,7 +182,8 @@ def _within(prev: np.ndarray, curr: np.ndarray, threshold: int) -> bool:
     for top in range(0, height, rows):
         band = slice(top, top + rows)
         used = min(rows, height - top)
-        if abs_diff(prev[band], curr[band], diff[:used], low[:used]).max() > threshold:
+        band_diff = _abs_diff(prev[band], curr[band], diff[:used], low[:used])
+        if band_diff.max() > threshold:
             return False
     return True
 
@@ -370,6 +387,13 @@ class AnalysisState:
     since_keyframe: frames emitted since the last full frame of the current
         motion run, or None outside a run.  The first frame starts no run,
         and a drop ends one.
+    check_wait: drops the grid comparison still decides before the
+        per-pixel check on ``prev_luma`` is tried again.
+    check_backoff: the wait the last failed check set; 0 after a pass.
+        Each check that fails on a frame the grid then drops sets a wait
+        of twice this plus one, at most ``_MAX_CHECK_WAIT``, so footage
+        whose noise puts a pixel past the threshold on every frame pays
+        for the check on one drop in 64 rather than on each.
     """
 
     geometry: tuple[int, int, PixelFormat] | None = None
@@ -377,6 +401,8 @@ class AnalysisState:
     prev_luma: np.ndarray | None = None
     out_index: int = 0
     since_keyframe: int | None = None
+    check_wait: int = 0
+    check_backoff: int = 0
 
 
 def analyse(
@@ -399,14 +425,19 @@ def analyse(
     empty, so the frame is dropped without downscaling it.  Otherwise the
     dropped frame's reduction is computed if that drop skipped it, and the
     frame is analysed on the grid as usual.  Either way the outcome is the
-    same.
+    same.  A check that fails on a frame the grid then drops was wasted,
+    and the check sits out a growing number of drops after it (see
+    ``AnalysisState``), which changes only which path decides them.
     """
     geometry = state.geometry or (frame.width, frame.height, frame.pixel_format)
     check_geometry(frame, geometry)
     luma = to_grayscale(frame)
     prev_luma = state.prev_luma
-    if prev_luma is not None and _within(prev_luma, luma, config.threshold):
-        return _DROP, replace(state, prev_gray=None, prev_luma=luma)
+    checked = prev_luma is not None and state.check_wait == 0
+    if checked and _within(prev_luma, luma, config.threshold):
+        return _DROP, replace(
+            state, prev_gray=None, prev_luma=luma, check_backoff=0
+        )
     gray = downscale(luma, config.downscale)
     prev_gray = state.prev_gray
     if prev_gray is None and prev_luma is not None:
@@ -419,8 +450,15 @@ def analyse(
             config.buffer_radius,
         )
         if np.count_nonzero(mask) < config.min_motion_pixels:
+            wait, backoff = state.check_wait, state.check_backoff
+            if checked:
+                backoff = min(2 * backoff + 1, _MAX_CHECK_WAIT)
+                wait = backoff
+            else:
+                wait = max(wait - 1, 0)
             return _DROP, replace(
-                state, prev_gray=gray, prev_luma=luma, since_keyframe=None
+                state, prev_gray=gray, prev_luma=luma, since_keyframe=None,
+                check_wait=wait, check_backoff=backoff,
             )
 
     since = None if state.since_keyframe is None else state.since_keyframe + 1
@@ -432,5 +470,6 @@ def analyse(
     else:
         frame = apply_mask(frame, mask, config.downscale)
     return AnalysisOutcome(frame, record), AnalysisState(
-        geometry, gray, None, state.out_index + 1, since
+        geometry, gray, None, state.out_index + 1, since, state.check_wait,
+        state.check_backoff,
     )

@@ -344,6 +344,55 @@ def test_still_drop_check_matches_oracle_at_the_bound(factor):
     assert set(decided) != {"drop"}
 
 
+@pytest.mark.parametrize("factor", range(1, 7))
+def test_still_check_waits_match_oracle(factor):
+    """Outcomes do not depend on which drops the still check sits out.
+    Over a long clip whose stills alternate between spells of noise that
+    puts single pixels past the threshold (so the check is wasted and
+    waits), spells within it (so the check passes), and short bursts of
+    motion, reference_compress equals the oracle simulation and
+    run_pipeline at capacities 1 and 64 equals reference_compress."""
+    rng = np.random.default_rng(100 + factor)
+    t = 25
+    for pixel_format, width, height in (
+        (PixelFormat.GRAY8, 77, 53),
+        (PixelFormat.YUV420, 78, 56),
+    ):
+        # A spiked frame changes at most four cells, 36 once dilated, so it
+        # is dropped at every factor; a box covers 5 x 5 whole tiles.
+        config = MotionConfig(threshold=t, downscale=factor, buffer_radius=1,
+                              keyframe_interval=4, min_motion_pixels=40)
+        base = rng.integers(t + 1, 255 - t - factor, (height, width))
+        offsets = [np.zeros_like(base)]
+        for _ in range(4):
+            for _ in range(int(rng.integers(3, 24))):
+                # Two pixels t+1 to t+factor above the base, elsewhere at it.
+                spiked = np.zeros_like(base)
+                spots = rng.integers(0, base.size, 2)
+                spiked.flat[spots] = rng.integers(t + 1, t + factor + 1, 2)
+                offsets.append(spiked)
+            for _ in range(int(rng.integers(3, 24))):
+                offsets.append(rng.integers(0, t // 2, base.shape))
+            for _ in range(int(rng.integers(0, 4))):
+                moved = np.zeros_like(base)
+                edge = 6 * factor
+                y = rng.integers(0, height - edge)
+                x = rng.integers(0, width - edge)
+                moved[y : y + edge, x : x + edge] = 2 * t
+                offsets.append(moved)
+        frames = [
+            frame_from_luma((base + offset).astype(np.uint8), pixel_format, i)
+            for i, offset in enumerate(offsets)
+        ]
+        kinds = _compress_matches_oracle(frames, config)
+        assert kinds.count("drop") > len(kinds) // 2
+        assert "masked" in kinds
+        header = StreamHeader(width, height, 30, 1, pixel_format)
+        want = _render_single_pass(header, frames, config)
+        for capacity in (1, 64):
+            assert _render_pipeline(header, frames, config, capacity) == want
+
+
 @pytest.mark.parametrize("keyframe_interval", range(1, 9))
 def test_keyframe_cadence_matches_oracle(keyframe_interval):
     """reference_compress equals the oracle simulation at each keyframe

@@ -631,6 +631,49 @@ def test_analyse_downscales_no_frame_that_follows_a_still_drop(monkeypatch):
     assert calls == [(24, 32)] * 7
 
 
+def test_still_check_sits_out_more_drops_after_each_wasted_try(monkeypatch):
+    """A check that fails on a frame the grid then drops is tried again
+    only after 1, 3, 7, ... up to 63 drops the grid decides.  A pass
+    clears the wait's growth, and a failure on a frame that is kept sets no
+    wait."""
+    checked = []
+    real = motion_core._within
+
+    def counted(prev, curr, threshold):
+        checked.append(len(kinds))
+        return real(prev, curr, threshold)
+
+    monkeypatch.setattr(motion_core, "_within", counted)
+    base = np.full((16, 24), 100, dtype=np.uint8)
+
+    def spiked(i):
+        # One pixel 26 levels off, past the threshold of 25, while its 2x2
+        # tile's mean moves by 7: every spiked frame is a grid drop.
+        luma = base.copy()
+        luma[i % 16, (5 * i) % 24] += 26
+        return luma
+
+    box = base.copy()
+    box[4:12, 4:12] = 220
+    lumas = [spiked(i) for i in range(130)] + [base] * 65
+    lumas += [spiked(1), spiked(2), box, spiked(3), spiked(4), spiked(5)]
+    kinds = []
+    state = AnalysisState()
+    for i, luma in enumerate(lumas):
+        outcome, state = analyse(state, MotionConfig(), gray_frame(luma, i))
+        kinds.append(outcome.kind)
+    F, M, D = OutcomeKind.FULL_FRAME, OutcomeKind.MASKED, OutcomeKind.DROP
+    assert kinds == [F] + [D] * 196 + [F, M, D, D]
+    # Frame 1 follows a kept frame.  Waits of 1, 3, 7, 15, 31 and 63
+    # follow the tries at 2 to 64 and at 128; the still frames from 130 on
+    # wait out the last one and pass from 192, so the spike at 195 is
+    # checked, and the one at 196 sits out a wait of 1.  The box at 197
+    # fails the check and is kept, which sets no wait; frame 199 follows a
+    # kept frame, and 200 is checked.
+    assert checked == [2, 4, 8, 16, 32, 64, 128, 192, 193, 194, 195, 197, 200]
+    assert (state.check_wait, state.check_backoff) == (3, 3)
+
+
 def test_analyse_state_prev_gray_updates_every_step():
     rng = np.random.default_rng(9)
     config = MotionConfig(threshold=200, downscale=2, min_motion_pixels=5)
