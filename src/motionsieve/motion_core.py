@@ -273,6 +273,9 @@ def apply_mask(frame: Frame, mask: np.ndarray, factor: int = 1) -> Frame:
     """
     h, w = frame.height, frame.width
     _check_grid(mask, factor, w, h)
+    # Every factor past the frame gives the same 1x1 grid; clamped, a grid
+    # row repeated across stays the width of the frame.
+    factor = min(factor, max(h, w, 1))
     raw = np.frombuffer(frame.data, dtype=np.uint8)
     kept = np.empty_like(raw)
     planes = 3 if frame.pixel_format is PixelFormat.YUV444 else 1

@@ -9,17 +9,20 @@ output indices run 0, 1, 2, ... without gaps.
 
 Reading streams: ``_records`` validates and yields one row at a time, so
 a consumer holds one row whatever the sidecar's length; ``read_sidecar``
-collects them into a list.
+collects them into a list.  A text file, as ``open()`` returns it, is
+read one line of at most ``_MAX_LINE`` characters at a time, so a line
+with no end is refused before it fills memory.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .errors import MalformedRow, NonMonotonicIndex
-from .frame_io import _Sink
+from .frame_io import _MAX_LINE, _Sink
 
 FIELDNAMES = ("input_frame", "output_frame", "full_frame")
 # Longest field accepted: a frame position needs at most 20 digits, and a
@@ -69,11 +72,14 @@ def _records(source: Iterable[str]) -> Iterator[SidecarRecord]:
 
     Raises MalformedRow for schema violations (bad header, wrong field
     count, non-integer or overlong values, flags outside {0, 1}) and for
-    text that cannot be decoded or split into CSV rows, and
-    NonMonotonicIndex when row order breaks the strictly-increasing-input /
-    consecutive-output invariants.  Each error surfaces when the row that
-    holds it is pulled, after the rows before it were yielded.
+    text that cannot be decoded or split into CSV rows, or a text file's
+    line longer than ``_MAX_LINE`` characters, and NonMonotonicIndex when
+    row order breaks the strictly-increasing-input / consecutive-output
+    invariants.  Each error surfaces when the row that holds it is pulled,
+    after the rows before it were yielded.
     """
+    if isinstance(source, io.TextIOWrapper):
+        source = _bounded_lines(source)
     reader = csv.reader(source)
     try:
         header = next(reader, None)
@@ -115,3 +121,15 @@ def _records(source: Iterable[str]) -> Iterator[SidecarRecord]:
         raise MalformedRow("sidecar is not UTF-8 text") from None
     except csv.Error as exc:
         raise MalformedRow(str(exc)) from None
+
+
+def _bounded_lines(stream: IO[str]) -> Iterator[str]:
+    """Each line of a text file, read at most ``_MAX_LINE`` characters at a
+    time; a longer line raises MalformedRow naming its row, the header
+    being row 0."""
+    lines = iter(lambda: stream.readline(_MAX_LINE), "")
+    for row_number, line in enumerate(lines):
+        if len(line) == _MAX_LINE and not line.endswith("\n"):
+            name = f"row {row_number}: line" if row_number else "header row"
+            raise MalformedRow(f"{name} is longer than {_MAX_LINE} characters")
+        yield line

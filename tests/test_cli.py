@@ -1276,24 +1276,6 @@ def test_bench_rejects_bad_replicates(tmp_path):
     assert code == 2
 
 
-def test_console_script_stdin_roundtrip(tmp_path):
-    """The installed entry point reads Y4M on stdin with --input -."""
-    src = os.path.join(tmp_path, "sq.y4m")
-    write_square_y4m(src)
-    prefix = os.path.join(tmp_path, "out")
-    with open(src, "rb") as fh:
-        blob = fh.read()
-    proc = subprocess.run(
-        [sys.executable, "-m", "motionsieve.cli", "compress", "--input", "-",
-         "--output", prefix, "--min-motion-pixels", "1"],
-        input=blob, capture_output=True,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert b"frames in:       12" in proc.stdout
-    assert os.path.exists(prefix + ".y4m")
-    assert os.path.exists(prefix + ".csv")
-
-
 def _replicate_labels(out):
     return [line.split(":")[0] for line in out.splitlines()
             if line.startswith("replicate ")]
@@ -1407,7 +1389,7 @@ def test_reconstruct_decoder_failure_after_stream_leaves_partials(tmp_path):
          "--decode-cmd", "sh -c 'cat {input}; exit 3'"]
     )
     assert code == 1
-    assert err.startswith("error: NonZeroExit:")
+    assert err.count("\n") == 1 and err.startswith("error: NonZeroExit:"), err
     assert out == ""
     for suffix in (".dl.y4m", ".fgbg.y4m", ".align.csv"):
         assert os.path.exists(rebuilt + suffix + ".partial")
@@ -1712,6 +1694,31 @@ def test_stats_file_mode_holds_one_sidecar_row_at_a_time(tmp_path):
         "stats", "--raw", video, "--processed", video, "--sidecar", sidecar,
     ])
     assert long - short < _FLAT_BYTES, (short, long)
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "stats"])
+def test_a_sidecar_line_with_no_end_is_refused_in_bounded_memory(tmp_path, command):
+    """A sidecar row of 64 MB with no line end fails the run with one
+    MalformedRow line naming the row, without the line being read whole."""
+    video, sidecar = _tiny_run(tmp_path, 1)
+    with open(sidecar, "a", encoding="utf-8") as fh:
+        for _ in range(64):
+            fh.write("1" * (1 << 20))
+    argv = {
+        "reconstruct": ["reconstruct", "--input", video, "--sidecar", sidecar,
+                        "--output", str(tmp_path / "r")],
+        "stats": ["stats", "--raw", video, "--processed", video,
+                  "--sidecar", sidecar],
+    }[command]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: MalformedRow: row 2: line is longer than 4096 characters\n"
+    assert peak < 1 << 20, peak
 
 
 def test_rejected_header_closes_input(tmp_path):

@@ -496,6 +496,26 @@ def test_apply_mask_rejects_wrong_grid(pixel_format, factor, shape):
         apply_mask(frame, np.ones(shape, dtype=bool), factor)
 
 
+@pytest.mark.parametrize("factor", [10**9, 10**9 + 1])
+@pytest.mark.parametrize("kept", [True, False])
+@pytest.mark.parametrize("pixel_format", [PixelFormat.GRAY8, PixelFormat.YUV420])
+def test_apply_mask_past_the_frame_masks_as_its_longer_side(pixel_format, kept, factor):
+    """Every factor at or past the frame's longer side gives one 1x1 grid,
+    even or odd, and the same bytes as that side.  A grid row repeated
+    10**9 times across would take a gigabyte, so the peak is bound."""
+    frame = random_frame(np.random.default_rng(23), 64, 48, pixel_format)
+    grid = np.full((1, 1), kept)
+    full = oracle_upscale(grid.tolist(), 64, 64, 48)
+    tracemalloc.start()
+    try:
+        got = apply_mask(frame, grid, factor).data
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == apply_mask(frame, grid, 64).data == oracle_apply_mask(frame, full)
+    assert peak < 64 * 1024
+
+
 @given(st.data())
 def test_grayscale_matches_bruteforce(data):
     pixel_format = data.draw(st.sampled_from(list(PixelFormat)))

@@ -151,6 +151,21 @@ def test_read_reports_csv_errors_as_malformed_rows():
         read_sidecar(io.StringIO(HEADER + "1" * 200_000 + ",0,1\n"))
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [(HEADER + "0,0,1\n" + "1" * 5000, "row 2: line"), ("9" * 5000, "header row")],
+    ids=["data-row", "header"],
+)
+def test_read_refuses_a_file_line_past_the_line_limit(tmp_path, text, row):
+    """A text file is read one bounded line at a time, so a line with no
+    end is refused by its length, naming its row, before csv holds it."""
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8", newline="") as source:
+        with pytest.raises(MalformedRow, match=f"^{row} is longer than 4096 characters$"):
+            read_sidecar(source)
+
+
 def test_read_rejects_negative_input():
     with pytest.raises(MalformedRow):
         read_sidecar(io.StringIO(HEADER + "-1,0,1\n"))
