@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -172,20 +173,24 @@ def _abs_diff(
     return diff
 
 
-def _within(prev: np.ndarray, curr: np.ndarray, threshold: int) -> bool:
-    """Whether no pixel of ``curr`` differs from ``prev`` by more than
-    ``threshold``.  The planes are compared in row bands, and the first
-    band with a larger difference ends the comparison."""
+def _band_diffs(prev: np.ndarray, curr: np.ndarray) -> Iterator[np.ndarray]:
+    """``abs_diff`` of two checked gray planes, one row band at a time, top
+    to bottom.  Each band is a view into scratch that the next one reuses,
+    so nothing frame-sized is allocated."""
     height, width = curr.shape
     rows = max(1, _BAND_BYTES // width)
     diff, low = np.empty((2, min(rows, height), width), np.uint8)
     for top in range(0, height, rows):
         band = slice(top, top + rows)
         used = min(rows, height - top)
-        band_diff = _abs_diff(prev[band], curr[band], diff[:used], low[:used])
-        if band_diff.max() > threshold:
-            return False
-    return True
+        yield _abs_diff(prev[band], curr[band], diff[:used], low[:used])
+
+
+def _within(prev: np.ndarray, curr: np.ndarray, threshold: int) -> bool:
+    """Whether no pixel of ``curr`` differs from ``prev`` by more than
+    ``threshold``.  The first band with a larger difference ends the
+    comparison."""
+    return all(band.max() <= threshold for band in _band_diffs(prev, curr))
 
 
 def check_gray_pair(a: np.ndarray, b: np.ndarray) -> None:

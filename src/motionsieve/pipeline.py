@@ -35,7 +35,7 @@ from .sidecar import SidecarRecord
 # ones meet this cap.  Depth beyond it buys small frames only memory: on
 # 720p GRAY8, where the budget alone allows 10 frames a queue, the cap
 # kept peak RSS 3-4 MB lower at the same fps (BENCH_14.json).
-DEFAULT_QUEUE_CAPACITY = 8
+QUEUE_CAPACITY = 8
 # Bytes of frame payload each inter-stage queue holds before it stops
 # admitting more; an empty queue admits a frame of any size.  Three 1080p
 # YUV420 frames, from a sweep of one to four against depth 8 alone
@@ -133,8 +133,6 @@ def run_pipeline(
     config: MotionConfig,
     video_sink,
     sidecar_sink,
-    *,
-    queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
 ) -> PipelineReport:
     """Compress ``source`` into ``video_sink`` + ``sidecar_sink``.
 
@@ -154,7 +152,7 @@ def run_pipeline(
     started = time.monotonic()
     frames_in, frames_out = _run_stages(
         source, [("analysis", lambda frames: _kept(frames, config))], emit,
-        queue_capacity,
+        QUEUE_CAPACITY,
     )
     wall_time = max(time.monotonic() - started, 1e-9)
     return PipelineReport(frames_in, frames_out, wall_time)
@@ -182,9 +180,6 @@ def _run_stages(
     an interrupt, such as Ctrl-C, the interrupt is re-raised without
     waiting for a stage inside the caller's code.
     """
-    if queue_capacity < 1:
-        raise ValueError("queue capacity must be >= 1")
-
     stop = threading.Event()
     failure_lock = threading.Lock()
     failures: list[BaseException] = []

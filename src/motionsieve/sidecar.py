@@ -85,6 +85,9 @@ def _records(source: Iterable[str]) -> Iterator[SidecarRecord]:
         header = next(reader, None)
         if header is None:
             raise MalformedRow("missing header row")
+        # A spreadsheet that re-saves the file may put a byte-order mark first.
+        if header and header[0].startswith("\ufeff"):
+            header[0] = header[0][1:]
         if tuple(header) != FIELDNAMES:
             raise MalformedRow(f"bad header row {header!r}")
         previous_input, yielded = -1, 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TooFewFrames, ZeroInput
 from .frame_io import Frame
-from .motion_core import abs_diff, threshold_mask, to_grayscale
+from .motion_core import _band_diffs, check_gray_pair, to_grayscale
 
 
 def _as_decimal(value) -> Decimal:
@@ -66,10 +66,10 @@ def pixel_change_series(
 ) -> PixelChangeSeries:
     """Fraction of pixels changing between adjacent frames, in percent.
 
-    Works at full resolution on the grayscale reduction.  A pixel counts
-    as changed when its absolute luma difference strictly exceeds
-    ``threshold`` (0 counts any difference at all).  Needs at least two
-    frames.
+    Works at full resolution on the grayscale reduction, in cache-sized
+    row bands.  A pixel counts as changed when its absolute luma
+    difference strictly exceeds ``threshold`` (0 counts any difference at
+    all).  Needs at least two frames.
     """
     if not 0 <= threshold <= 255:
         raise ValueError("threshold must be in [0, 255]")
@@ -78,7 +78,10 @@ def pixel_change_series(
     for frame in frames:
         gray = to_grayscale(frame)
         if prev is not None:
-            changed = np.count_nonzero(threshold_mask(abs_diff(prev, gray), threshold))
+            check_gray_pair(prev, gray)
+            changed = sum(
+                np.count_nonzero(band > threshold) for band in _band_diffs(prev, gray)
+            )
             values.append(changed * 100.0 / gray.size)
         prev = gray
     if not values:

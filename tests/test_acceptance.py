@@ -12,6 +12,7 @@ import os
 import shlex
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,8 +140,8 @@ def _render_pipeline(header, frames, config, capacity):
     video = io.BytesIO()
     writer = Y4MWriter(video, header)
     sidecar = io.StringIO()
-    run_pipeline(iter(frames), config, writer, SidecarWriter(sidecar),
-                 queue_capacity=capacity)
+    with mock.patch("motionsieve.pipeline.QUEUE_CAPACITY", capacity):
+        run_pipeline(iter(frames), config, writer, SidecarWriter(sidecar))
     return video.getvalue(), read_sidecar(io.StringIO(sidecar.getvalue()))
 
 

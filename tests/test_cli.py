@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from motionsieve import (
+    CompressionStats,
     MotionConfig,
     PixelFormat,
     SidecarRecord,
@@ -29,6 +30,7 @@ from motionsieve import (
     cli,
     count_y4m_frames,
     read_sidecar,
+    stats_json,
     write_sidecar,
 )
 from motionsieve.frame_io import _CodecChild, serialize_y4m_header
@@ -992,6 +994,42 @@ def test_stats_undecodable_sidecar(tmp_path):
     )
     assert code == 1
     assert err == "error: MalformedRow: sidecar is not UTF-8 text\n"
+
+
+def test_a_sidecar_with_a_byte_order_mark_reads_as_one_without(tmp_path):
+    """A sidecar that a spreadsheet re-saved with a UTF-8 byte-order mark
+    rebuilds the same three outputs and gives the same stats; only the
+    sidecar's size, which stats counts into bytes out, grows by the mark."""
+    src, prefix = _compressed_pair(tmp_path)
+    marked = os.path.join(tmp_path, "marked.csv")
+    with open(prefix + ".csv", "rb") as fh, open(marked, "wb") as out:
+        out.write(b"\xef\xbb\xbf" + fh.read())
+    rebuilt, reports = [], []
+    for name, sidecar in [("plain", prefix + ".csv"), ("marked", marked)]:
+        out = os.path.join(tmp_path, name)
+        code, _, err = run_cli(
+            ["reconstruct", "--input", prefix + ".y4m", "--sidecar", sidecar,
+             "--output", out]
+        )
+        assert code == 0, err
+        outputs = []
+        for suffix in (".dl.y4m", ".fgbg.y4m", ".align.csv"):
+            with open(out + suffix, "rb") as fh:
+                outputs.append(fh.read())
+        rebuilt.append(outputs)
+        code, stdout, err = run_cli(
+            ["stats", "--raw", src, "--processed", prefix + ".y4m",
+             "--sidecar", sidecar, "--stats-json", "-"]
+        )
+        assert code == 0, err
+        reports.append(json.loads(stdout))
+    assert rebuilt[0] == rebuilt[1]
+    plain, with_mark = reports
+    counts = CompressionStats(
+        plain["frames_in"], plain["frames_out"], plain["bytes_in"],
+        plain["bytes_out"] + 3,
+    )
+    assert with_mark == json.loads(stats_json(counts))
 
 
 def test_compress_config_with_a_byte_order_mark(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import subprocess
@@ -120,6 +121,13 @@ def test_all_matches_public_namespace():
     assert "RawWriter" not in public
     assert "stats_from_json" not in public
     assert set(motionsieve.__all__) == LIBRARY_API
+
+
+def test_run_pipeline_takes_no_queue_depth():
+    """Queue depth is not a setting: run_pipeline takes its source, config
+    and two sinks, and nothing else."""
+    parameters = inspect.signature(motionsieve.run_pipeline).parameters
+    assert list(parameters) == ["source", "config", "video_sink", "sidecar_sink"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -55,14 +55,20 @@ def render_reference(header, frames, config):
     return video.getvalue(), sidecar.getvalue()
 
 
+def at_depth(capacity):
+    """Inside the ``with`` block, run_pipeline joins its stages by queues
+    of ``capacity`` items, so a test can force backpressure."""
+    return mock.patch("motionsieve.pipeline.QUEUE_CAPACITY", capacity)
+
+
 def render_pipeline(header, frames, config, capacity):
     video = io.BytesIO()
     writer = Y4MWriter(video, header)
     sidecar = io.StringIO()
-    report = run_pipeline(
-        iter(frames), config, writer, SidecarWriter(sidecar),
-        queue_capacity=capacity,
-    )
+    with at_depth(capacity):
+        report = run_pipeline(
+            iter(frames), config, writer, SidecarWriter(sidecar)
+        )
     writer.flush()
     return video.getvalue(), sidecar.getvalue(), report
 
@@ -130,9 +136,9 @@ def test_failing_source_raises_its_own_error():
     video = io.BytesIO()
     writer = Y4MWriter(video, header)
     sidecar = io.StringIO()
-    with pytest.raises(OSError, match="^sensor unplugged$"):
+    with pytest.raises(OSError, match="^sensor unplugged$"), at_depth(2):
         run_pipeline(source(), MotionConfig(min_motion_pixels=1), writer,
-                     SidecarWriter(sidecar), queue_capacity=2)
+                     SidecarWriter(sidecar))
     # whatever made it out is whole: every sidecar line is complete and
     # the video parses frame by frame
     text = sidecar.getvalue()
@@ -174,18 +180,11 @@ def test_writer_failure_raises_its_own_error():
         gray_frame(rng.integers(0, 256, (8, 8), np.uint8), i) for i in range(20)
     ]
     sink = _ExplodingSink(allow=2)
-    with pytest.raises(SinkUnavailable, match="^disk full$"):
+    with pytest.raises(SinkUnavailable, match="^disk full$"), at_depth(2):
         run_pipeline(
             frames, MotionConfig(downscale=1, min_motion_pixels=1), sink,
-            SidecarWriter(io.StringIO()), queue_capacity=2,
+            SidecarWriter(io.StringIO()),
         )
-
-
-def test_queue_capacity_validated():
-    writer = _ExplodingSink(allow=0)
-    with pytest.raises(ValueError):
-        run_pipeline([], MotionConfig(), writer, SidecarWriter(io.StringIO()),
-                     queue_capacity=0)
 
 
 def test_capacity_one_with_heavy_drops_terminates():
@@ -198,10 +197,10 @@ def test_capacity_one_with_heavy_drops_terminates():
     header = StreamHeader(16, 16, 30, 1, PixelFormat.GRAY8)
     video = io.BytesIO()
     writer = Y4MWriter(video, header)
-    report = run_pipeline(
-        frames, MotionConfig(), writer, SidecarWriter(io.StringIO()),
-        queue_capacity=1,
-    )
+    with at_depth(1):
+        report = run_pipeline(
+            frames, MotionConfig(), writer, SidecarWriter(io.StringIO())
+        )
     assert report.frames_in == 200
     assert report.frames_out == 1
 
@@ -255,9 +254,9 @@ def test_ctrl_c_while_joining_stops_every_stage():
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         timer.start()
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt), at_depth(2):
             run_pipeline(endless(), MotionConfig(), writer,
-                         SidecarWriter(io.StringIO()), queue_capacity=2)
+                         SidecarWriter(io.StringIO()))
         deadline = time.monotonic() + 1.0
         while stage_threads() and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -300,9 +299,9 @@ def test_ctrl_c_keeps_a_stage_stuck_in_next_alive():
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         interrupter.start()
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt), at_depth(2):
             run_pipeline(stuck(), MotionConfig(), writer,
-                         SidecarWriter(io.StringIO()), queue_capacity=2)
+                         SidecarWriter(io.StringIO()))
         [reader] = [t for t in threading.enumerate() if t.name == "motionsieve-read"]
         assert reader.is_alive()
         release.set()
@@ -355,8 +354,8 @@ def test_ctrl_c_waits_once_for_all_stuck_stages():
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         interrupter.start()
-        with pytest.raises(KeyboardInterrupt):
-            run_pipeline(stuck(), MotionConfig(), sink, sink, queue_capacity=2)
+        with pytest.raises(KeyboardInterrupt), at_depth(2):
+            run_pipeline(stuck(), MotionConfig(), sink, sink)
         assert time.monotonic() - sent[0] < 1.5
     finally:
         release.set()
@@ -364,7 +363,7 @@ def test_ctrl_c_waits_once_for_all_stuck_stages():
         signal.signal(signal.SIGINT, previous)
 
 
-def _peak_traced_bytes(side, count, sink_seconds=0.005, **kwargs):
+def _peak_traced_bytes(side, count, sink_seconds=0.005):
     """Peak memory traced while run_pipeline moves ``count`` fresh
     side x side GRAY8 frames, from a plain generator with no header, into
     a video sink that takes ``sink_seconds`` a frame."""
@@ -390,7 +389,7 @@ def _peak_traced_bytes(side, count, sink_seconds=0.005, **kwargs):
     sink = SlowSink()
     tracemalloc.start()
     try:
-        run_pipeline(source(), MotionConfig(), sink, sink, **kwargs)
+        run_pipeline(source(), MotionConfig(), sink, sink)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -400,7 +399,7 @@ def test_queued_frames_bound_memory():
     """With a fast source and a slow sink both queues fill, and memory
     stays within the queued frames plus the few the stages hold.
 
-    Beyond the 2 * DEFAULT_QUEUE_CAPACITY queued frames, c = 7 frames
+    Beyond the 2 * QUEUE_CAPACITY queued frames, c = 7 frames
     cover what the stages hold at once: the reader's next frame, blocked on
     a full queue (1); the analysis stage's input, the masked copy it builds
     in numpy and that copy's bytes (3), with the previous and current gray
@@ -409,15 +408,16 @@ def test_queued_frames_bound_memory():
     interpreter's own allocations, which are a small part of one 256 KiB
     frame.  Measured: 21.2 frames at depth 8, 48 at depth 64.
     """
-    from motionsieve.pipeline import DEFAULT_QUEUE_CAPACITY
+    from motionsieve.pipeline import QUEUE_CAPACITY
 
     side, count = 512, 48
-    bound = (2 * DEFAULT_QUEUE_CAPACITY + 7) * side**2
+    bound = (2 * QUEUE_CAPACITY + 7) * side**2
     assert count * side**2 > bound
     assert _peak_traced_bytes(side, count) < bound
     # At depth 64 the whole stream piles up: the measurement sees queued
     # frames, so the bound above is not met by accident.
-    assert _peak_traced_bytes(side, count, queue_capacity=64) > bound
+    with at_depth(64):
+        assert _peak_traced_bytes(side, count) > bound
 
 
 def test_byte_budget_bounds_memory_whatever_the_frame_size():
@@ -431,12 +431,12 @@ def test_byte_budget_bounds_memory_whatever_the_frame_size():
     frames of 4 MiB against a bound of 13.4; 21 with queues capped by
     frame count alone.
     """
-    from motionsieve.pipeline import DEFAULT_QUEUE_CAPACITY, QUEUE_BYTE_BUDGET
+    from motionsieve.pipeline import QUEUE_BYTE_BUDGET, QUEUE_CAPACITY
 
     side, count = 2048, 24
     frame = side**2
     bound = 2 * (QUEUE_BYTE_BUDGET + frame) + 7 * frame
-    assert QUEUE_BYTE_BUDGET + frame < DEFAULT_QUEUE_CAPACITY * frame
+    assert QUEUE_BYTE_BUDGET + frame < QUEUE_CAPACITY * frame
     assert count * frame > bound
     # The sink is the slowest stage, so both queues fill.
     assert _peak_traced_bytes(side, count, sink_seconds=0.03) < bound
@@ -454,8 +454,9 @@ def test_frames_larger_than_the_byte_budget_still_move():
         for i in range(3)
     ]
     sink = _ExplodingSink(allow=len(frames))
-    report = run_pipeline(iter(frames), MotionConfig(), sink,
-                          SidecarWriter(io.StringIO()), queue_capacity=2)
+    with at_depth(2):
+        report = run_pipeline(iter(frames), MotionConfig(), sink,
+                              SidecarWriter(io.StringIO()))
     assert (report.frames_in, report.frames_out, sink.writes) == (3, 3, 3)
 
 
@@ -533,9 +534,9 @@ def test_injected_fault_stops_the_run_at_a_whole_prefix(
             patches.enter_context(mock.patch.object(
                 sink, site, _failing_at(call, error, getattr(sink, site), fired)
             ))
+        patches.enter_context(at_depth(capacity))
         try:
-            run_pipeline(source, VARIED_CONFIG, video_sink, sidecar_sink,
-                         queue_capacity=capacity)
+            run_pipeline(source, VARIED_CONFIG, video_sink, sidecar_sink)
         except Exception as exc:
             assert exc is error
             assert fired == [error]

@@ -103,6 +103,18 @@ def test_read_skips_a_blank_line():
     ]
 
 
+def test_read_skips_a_byte_order_mark(tmp_path):
+    """A sidecar that a spreadsheet re-saved with a UTF-8 byte-order mark
+    reads as the same records, from a text file and from a string."""
+    text = HEADER + "0,0,1\n7,1,0\n"
+    path = tmp_path / "marked.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    with open(path, encoding="utf-8", newline="") as source:
+        from_file = read_sidecar(source)
+    want = read_sidecar(io.StringIO(text))
+    assert from_file == read_sidecar(io.StringIO("\ufeff" + text)) == want
+
+
 def test_read_rejects_missing_header():
     with pytest.raises(MalformedRow):
         read_sidecar(io.StringIO("0,0,1\n"))
