@@ -151,6 +151,8 @@ class Frame:
     data: bytes | memoryview = field(hash=False)
 
     def __post_init__(self) -> None:
+        if self.width < 1 or self.height < 1:
+            raise ValueError("frame dimensions must be positive")
         if self.pixel_format is PixelFormat.YUV420 and (
             self.width % 2 or self.height % 2
         ):
@@ -517,13 +519,17 @@ class _StderrDrain(threading.Thread):
 _PLACEHOLDERS = {"decode": "{input}", "encode": "{output}"}
 
 
-def check_template(role: str, template: str) -> str:
-    """The placeholder a ``"decode"`` or ``"encode"`` command template must
-    name its file with; ValueError when the template lacks it."""
+def check_template(role: str, template: str) -> list[str]:
+    """A ``"decode"`` or ``"encode"`` command template split into argv
+    tokens as a POSIX shell would; ValueError when it does not name its
+    file with the role's placeholder or cannot be split."""
     placeholder = _PLACEHOLDERS[role]
     if placeholder not in template:
         raise ValueError(f"{role} command template must contain {placeholder}")
-    return placeholder
+    try:
+        return shlex.split(template)
+    except ValueError as exc:
+        raise ValueError(f"{role} command template cannot be split: {exc}") from None
 
 
 class _CodecChild(_Stream):
@@ -542,10 +548,8 @@ class _CodecChild(_Stream):
     _role = ""
 
     def __init__(self, template: str, path, *args):
-        placeholder = check_template(self._role, template)
-        argv = [
-            token.replace(placeholder, str(path)) for token in shlex.split(template)
-        ]
+        argv = [token.replace(_PLACEHOLDERS[self._role], str(path))
+                for token in check_template(self._role, template)]
         writes = self._role == "encode"
         try:
             self._proc = subprocess.Popen(

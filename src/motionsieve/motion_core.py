@@ -173,24 +173,26 @@ def _abs_diff(
     return diff
 
 
-def _band_diffs(prev: np.ndarray, curr: np.ndarray) -> Iterator[np.ndarray]:
-    """``abs_diff`` of two checked gray planes, one row band at a time, top
-    to bottom.  Each band is a view into scratch that the next one reuses,
-    so nothing frame-sized is allocated."""
+def _band_diffs(
+    prev: np.ndarray, curr: np.ndarray, kernel=_abs_diff
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each row band ``rows`` of two gray planes, top to bottom, with
+    ``kernel(prev[rows], curr[rows], out, scratch)``, an ``abs_diff`` into
+    scratch that the next band reuses, so nothing frame-sized is made."""
     height, width = curr.shape
-    rows = max(1, _BAND_BYTES // width)
-    diff, low = np.empty((2, min(rows, height), width), np.uint8)
-    for top in range(0, height, rows):
-        band = slice(top, top + rows)
-        used = min(rows, height - top)
-        yield _abs_diff(prev[band], curr[band], diff[:used], low[:used])
+    step = max(1, _BAND_BYTES // width)
+    diff, low = np.empty((2, min(step, height), width), np.uint8)
+    for top in range(0, height, step):
+        rows = slice(top, top + step)
+        used = min(step, height - top)
+        yield rows, kernel(prev[rows], curr[rows], diff[:used], low[:used])
 
 
 def _within(prev: np.ndarray, curr: np.ndarray, threshold: int) -> bool:
     """Whether no pixel of ``curr`` differs from ``prev`` by more than
     ``threshold``.  The first band with a larger difference ends the
     comparison."""
-    return all(band.max() <= threshold for band in _band_diffs(prev, curr))
+    return all(band.max() <= threshold for _, band in _band_diffs(prev, curr))
 
 
 def check_gray_pair(a: np.ndarray, b: np.ndarray) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingReference, SidecarMismatch
 from .frame_io import Frame, PixelFormat, StreamHeader, Y4MWriter, _Sink, committed
-from .motion_core import _BAND_BYTES, abs_diff, check_gray_pair, to_grayscale
+from .motion_core import _band_diffs, abs_diff, check_gray_pair, to_grayscale
 from .pipeline import _run_stages
 from .sidecar import SidecarRecord
 
@@ -85,9 +85,6 @@ def reconstruct_stream(
     # The most recent full frame's luma, copied so that it does not keep
     # the whole color frame alive while it is the reference.
     reference: np.ndarray | None = None
-    # env_frame's output and scratch for one band, made at the first masked
-    # position and again only when the width changes; never yielded.
-    env = low = None
     for frame in frames:
         record = next(record_iter, None)
         if record is None:
@@ -107,18 +104,9 @@ def reconstruct_stream(
                     f"frame {record.input_frame} is {width}x{height}, "
                     f"reference is {reference.shape[1]}x{reference.shape[0]}"
                 )
-            rows = max(1, _BAND_BYTES // width)
-            if env is None or env.shape[1] != width:
-                env, low = np.empty((2, rows, width), np.uint8)
             restored = np.empty_like(gray)
-            for top in range(0, height, rows):
-                band = slice(top, top + rows)
-                mot = gray[band]
-                used = len(mot)
-                rec_frame(
-                    env_frame(reference[band], mot, env[:used], low[:used]),
-                    mot, restored[band],
-                )
+            for rows, env in _band_diffs(reference, gray, env_frame):
+                rec_frame(env, gray[rows], restored[rows])
         restored.flags.writeable = False
         yield RebuiltFrame(record.input_frame, record.full_frame, frame, restored)
     if next(record_iter, None) is not None:

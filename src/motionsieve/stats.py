@@ -80,7 +80,7 @@ def pixel_change_series(
         if prev is not None:
             check_gray_pair(prev, gray)
             changed = sum(
-                np.count_nonzero(band > threshold) for band in _band_diffs(prev, gray)
+                np.count_nonzero(band > threshold) for _, band in _band_diffs(prev, gray)
             )
             values.append(changed * 100.0 / gray.size)
         prev = gray

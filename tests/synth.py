@@ -121,6 +121,15 @@ def random_frame(rng: np.random.Generator, width, height, pixel_format, index=0)
     return Frame(index, width, height, pixel_format, data)
 
 
+def band_bytes_for(width: int, rows: int, slack: int) -> int:
+    """A ``motion_core._BAND_BYTES`` that makes bands of ``rows`` rows at
+    ``width``, plus ``slack`` bytes short of another row.  0 rows gives a
+    value below the width (at least 2), which walks one row at a time."""
+    if rows == 0:
+        return 1 + slack % (width - 1)
+    return rows * width + slack % width
+
+
 def random_video(seed: int, max_side: int = 64, max_frames: int = 40):
     """A small random video with varied content so drops, masked frames,
     and keyframe promotions all occur across the corpus.  Returns

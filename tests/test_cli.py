@@ -399,21 +399,36 @@ def test_argument_errors_keep_the_error_contract(argv):
         (["stats", "--frames-in", "10", "--frames-out", "5",
           "--bytes-in", "-3", "--bytes-out", "-5"], None,
          "--bytes-in must be finite and >= 0"),
+        (["compress", "--decode-cmd", "cat '{input}"], None,
+         "decode command template cannot be split: No closing quotation"),
+        (["compress", "--encode-cmd", 'cat "{output}'], None,
+         "encode command template cannot be split: No closing quotation"),
+        (["compress", "--config", "{tmp}/bad.conf"], "decode_cmd = cat '{input}\n",
+         "decode command template cannot be split: No closing quotation"),
+        (["compress", "--config", "{tmp}/bad.conf"], 'encode_cmd = cat "{output}\n',
+         "encode command template cannot be split: No closing quotation"),
+        (["reconstruct", "--input", "{src}", "--sidecar", "{src}",
+          "--output", "{tmp}/r", "--decode-cmd", "cat '{input}"], None,
+         "decode command template cannot be split: No closing quotation"),
     ],
     ids=["config-missing", "config-directory", "config-without-equals",
          "bad-size", "raw-with-decode-cmd", "stdin-with-decode-cmd",
          "raw-without-processed", "config-not-an-int", "size-not-an-int",
          "odd-yuv420-size", "zero-fps", "bytes-in-inf", "bytes-in-nan",
-         "bytes-negative"],
+         "bytes-negative", "unbalanced-decode-flag", "unbalanced-encode-flag",
+         "unbalanced-decode-config", "unbalanced-encode-config",
+         "reconstruct-unbalanced-decode-flag"],
 )
 def test_argument_errors_found_after_parsing(tmp_path, argv, config, detail):
     """Argument errors caught past argparse, in the config file, the input
-    flags or the stats modes, keep the one-line contract and exit 2."""
+    flags, the codec templates or the stats modes, keep the one-line
+    contract and exit 2 before any output is made."""
     src = os.path.join(tmp_path, "sq.y4m")
     write_square_y4m(src)
     if config is not None:
         with open(os.path.join(tmp_path, "bad.conf"), "w", encoding="utf-8") as fh:
             fh.write(config)
+    before = sorted(os.listdir(tmp_path))
     argv = [arg.replace("{tmp}", str(tmp_path)).replace("{src}", src)
             for arg in argv]
     if argv[0] == "compress":
@@ -426,6 +441,7 @@ def test_argument_errors_found_after_parsing(tmp_path, argv, config, detail):
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert err.startswith("error: InvalidArgument: "), err
     assert detail in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize(

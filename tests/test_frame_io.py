@@ -178,6 +178,14 @@ def test_header_rejects_a_zero_field_at_construction(fields, message):
         StreamHeader(*fields, PixelFormat.GRAY8)
 
 
+@pytest.mark.parametrize("pixel_format", list(PixelFormat))
+@pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (0, 0), (-2, 4)])
+def test_frame_rejects_a_dimension_below_one(width, height, pixel_format):
+    """Refused like a header's, so no per-pixel kernel sees an empty row."""
+    with pytest.raises(ValueError, match="^frame dimensions must be positive$"):
+        Frame(0, width, height, pixel_format, b"")
+
+
 def test_frame_rejects_odd_yuv_dims():
     with pytest.raises(ValueError, match="yuv420 requires even width and height"):
         Frame(0, 3, 2, PixelFormat.YUV420, b"\x00" * 9)

@@ -1,8 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 from motionsieve import DimensionMismatch, MotionConfig, PixelFormat, motion_core
@@ -26,7 +27,7 @@ from oracles import (
     oracle_gray,
     oracle_upscale,
 )
-from synth import frame_from_luma, gray_frame, random_frame, yuv_frame
+from synth import band_bytes_for, frame_from_luma, gray_frame, random_frame, yuv_frame
 
 small_arrays = npst.arrays(
     dtype=np.uint8, shape=st.tuples(st.integers(1, 20), st.integers(1, 20))
@@ -692,6 +693,44 @@ def test_still_check_sits_out_more_drops_after_each_wasted_try(monkeypatch):
     # kept frame, and 200 is checked.
     assert checked == [2, 4, 8, 16, 32, 64, 128, 192, 193, 194, 195, 197, 200]
     assert (state.check_wait, state.check_backoff) == (3, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(2, 9),
+    height=st.integers(1, 11),
+    rows=st.integers(0, 3),
+    slack=st.integers(0, 13),
+    spread=st.integers(0, 40),
+    threshold=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=2, height=7, rows=3, slack=1, spread=0, threshold=1, seed=0)
+@example(width=9, height=5, rows=0, slack=7, spread=30, threshold=25, seed=1)
+def test_band_walk_tiles_the_frame_at_ragged_band_heights(
+    width, height, rows, slack, spread, threshold, seed
+):
+    """Bands of 1, 2 or 3 rows, which need not divide the height, or of
+    one row when the width passes _BAND_BYTES, cover every row once, top to
+    bottom, each with the whole-frame difference of its rows; the still
+    check agrees with a whole-frame maximum."""
+    rng = np.random.default_rng(seed)
+    prev = rng.integers(0, 256, (height, width), np.uint8)
+    noise = rng.integers(-spread, spread + 1, (height, width))
+    curr = np.clip(prev + noise, 0, 255).astype(np.uint8)
+    whole = np.abs(curr.astype(np.int16) - prev)
+    step = max(rows, 1)
+    with mock.patch("motionsieve.motion_core._BAND_BYTES",
+                    band_bytes_for(width, rows, slack)):
+        bands = [(band_rows, band.copy())
+                 for band_rows, band in motion_core._band_diffs(prev, curr)]
+        within = motion_core._within(prev, curr, threshold)
+    assert [band_rows for band_rows, _ in bands] == [
+        slice(top, top + step) for top in range(0, height, step)
+    ]
+    for band_rows, band in bands:
+        assert np.array_equal(band, whole[band_rows])
+    assert within == (whole.max() <= threshold)
 
 
 def test_analyse_state_prev_gray_updates_every_step():

@@ -712,7 +712,7 @@ def test_fault_in_a_middle_band_stops_reconstruct_at_a_whole_prefix(
     call = 6 * masked + band
     with contextlib.ExitStack() as patches:
         patches.enter_context(
-            mock.patch("motionsieve.reconstruct._BAND_BYTES", 3 * 16)
+            mock.patch("motionsieve.motion_core._BAND_BYTES", 3 * 16)
         )
         patches.enter_context(mock.patch(
             f"motionsieve.reconstruct.{site}",

@@ -27,8 +27,8 @@ from motionsieve import (
     reconstruct_stream,
     reference_compress,
 )
-from motionsieve.motion_core import to_grayscale
-from motionsieve.reconstruct import _BAND_BYTES, env_frame, rec_frame
+from motionsieve.motion_core import _BAND_BYTES, to_grayscale
+from motionsieve.reconstruct import env_frame, rec_frame
 from synth import gray_frame, moving_square_video, random_frame
 
 luma_arrays = hnp.arrays(
@@ -144,7 +144,7 @@ def test_banded_rebuild_matches_whole_frame(
               for i in range(len(fulls))]
     records = [SidecarRecord(i, i, full) for i, full in enumerate(fulls)]
     band_bytes = rows * width + slack % width
-    with mock.patch("motionsieve.reconstruct._BAND_BYTES", band_bytes):
+    with mock.patch("motionsieve.motion_core._BAND_BYTES", band_bytes):
         got = [item.restored for item in reconstruct_stream(frames, records)]
     for frame, full, restored in zip(frames, fulls, got):
         gray = to_grayscale(frame)
@@ -168,8 +168,8 @@ def test_masked_frame_of_another_size_is_named():
 
 def test_masked_rebuild_makes_no_frame_sized_temporary():
     """Rebuilding a masked 1080p YUV420 position allocates its output luma
-    and, once per stream, the two band buffers; the kernels run on the
-    whole frame would hold two or three frame-sized temporaries."""
+    and, once per masked position, the two band buffers; the kernels run
+    on the whole frame would hold two or three frame-sized temporaries."""
     width, height = 1920, 1080
     rng = np.random.default_rng(27)
     frames = [random_frame(rng, width, height, PixelFormat.YUV420, i)

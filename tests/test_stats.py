@@ -1,13 +1,15 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from motionsieve import (
     CompressionStats,
     DimensionMismatch,
+    PixelFormat,
     TooFewFrames,
     ZeroInput,
     frame_reduction,
@@ -17,7 +19,7 @@ from motionsieve import (
     stats_table,
 )
 from oracles import oracle_changed_count, oracle_gray
-from synth import gray_frame, moving_square_video
+from synth import band_bytes_for, gray_frame, moving_square_video, random_frame
 
 
 @pytest.mark.parametrize(
@@ -164,6 +166,37 @@ def test_pixel_change_counts_in_bands_not_whole_frames():
     assert peak < grays[0].size // 4, peak
     changed = np.count_nonzero(np.abs(grays[1].astype(np.int16) - grays[0]) > 25)
     assert series.per_frame == [changed * 100.0 / grays[0].size]
+
+
+@pytest.mark.parametrize("pixel_format", list(PixelFormat))
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.integers(1, 5),
+    height=st.integers(1, 6),
+    rows=st.integers(0, 3),
+    slack=st.integers(0, 13),
+    threshold=st.integers(0, 255),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=1, height=5, rows=2, slack=0, threshold=25, seed=0)
+@example(width=4, height=3, rows=0, slack=5, threshold=0, seed=1)
+def test_pixel_change_in_ragged_bands_equals_a_whole_frame_count(
+    pixel_format, width, height, rows, slack, threshold, seed
+):
+    """Counted in bands of 1, 2 or 3 rows, which need not divide the
+    height, or of one row when the width passes _BAND_BYTES, every pair
+    gives the whole-frame numpy count."""
+    width, height = 2 * width, 2 * height
+    rng = np.random.default_rng(seed)
+    frames = [random_frame(rng, width, height, pixel_format, i) for i in range(3)]
+    with mock.patch("motionsieve.motion_core._BAND_BYTES",
+                    band_bytes_for(width, rows, slack)):
+        series = pixel_change_series(frames, threshold)
+    grays = [np.array(oracle_gray(frame), np.int16) for frame in frames]
+    assert series.per_frame == [
+        np.count_nonzero(np.abs(b - a) > threshold) * 100.0 / (width * height)
+        for a, b in zip(grays, grays[1:])
+    ]
 
 
 def test_pixel_change_threshold_zero_counts_any_difference():
