@@ -230,17 +230,25 @@ def _file_stat(path: str | None) -> os.stat_result | None:
     return found if stat.S_ISREG(found.st_mode) else None
 
 
-def _refuse_to_replace(outputs, inputs) -> None:
-    """Raise a usage error, before any stream opens, when an output path
-    or the ``*.partial`` written first is one of ``inputs``, given as
-    (flag, path) pairs: writing it would destroy that input."""
+def _refuse_to_replace(outputs, inputs, report=None) -> None:
+    """Raise a usage error, before any stream opens, when a path the run
+    writes is one of ``inputs``, given as (flag, path) pairs: an output,
+    the ``*.partial`` written first, or the ``report`` file of
+    --stats-json.  A report that is an output or its ``*.partial`` is
+    refused too, by real path, since neither need exist yet."""
+    written = [("output", name)
+               for path in outputs for name in (path, path + ".partial")]
+    if report not in (None, "-"):
+        for _, name in written:
+            if os.path.realpath(name) == os.path.realpath(report):
+                raise _UsageError(f"--stats-json {report} would replace output {name}")
+        written.append(("--stats-json", report))
     for flag, given in inputs:
         if (source := _file_stat(given)) is None:
             continue
-        for path in outputs:
-            for written in path, path + ".partial":
-                if (target := _file_stat(written)) and os.path.samestat(target, source):
-                    raise _UsageError(f"output {written} would replace {flag} {given}")
+        for kind, name in written:
+            if (target := _file_stat(name)) and os.path.samestat(target, source):
+                raise _UsageError(f"{kind} {name} would replace {flag} {given}")
 
 
 def _emit(text: str, payload: str, dest: str | None) -> None:
@@ -254,17 +262,19 @@ def _emit(text: str, payload: str, dest: str | None) -> None:
     sys.stdout.write(payload if dest == "-" else text)
 
 
-def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]:
+def _compress_once(
+    ns, motion, prefix, durable: bool
+) -> tuple[PipelineReport, tuple[str, str]]:
     """Compress the input into <prefix>.y4m (or .enc) and <prefix>.csv,
-    committed only once every stream closed cleanly.  Returns the run's
-    report and the two final paths."""
+    committed only once every stream closed cleanly, and fsynced with
+    ``durable``.  Returns the run's report and the two final paths."""
     config, decode_cmd, encode_cmd = motion
     paths = prefix + (".enc" if encode_cmd else ".y4m"), prefix + ".csv"
-    _refuse_to_replace(paths, [("--input", ns.input), ("--config", ns.config)])
-    # The compressed outputs may be the only copy of the footage, so they
-    # are made durable; reconstruct's can be rebuilt from them.
+    _refuse_to_replace(
+        paths, [("--input", ns.input), ("--config", ns.config)], ns.stats_json
+    )
     with (
-        committed(paths, durable=True) as (video_partial, sidecar_partial),
+        committed(paths, durable=durable) as (video_partial, sidecar_partial),
         ExitStack() as streams,
     ):
         source = _open_source(ns, decode_cmd, streams)
@@ -281,8 +291,10 @@ def _compress_once(ns, motion, prefix) -> tuple[PipelineReport, tuple[str, str]]
 
 
 def cmd_compress(ns) -> int:
+    # The compressed outputs may be the only copy of the footage, so they
+    # are made durable; reconstruct's can be rebuilt from them.
     report, (video_final, sidecar_final) = _compress_once(
-        ns, _resolve_motion(ns), ns.output
+        ns, _resolve_motion(ns), ns.output, durable=True
     )
     bytes_in = None if ns.input == "-" else os.path.getsize(ns.input)
     bytes_out = os.path.getsize(video_final) + os.path.getsize(sidecar_final)
@@ -324,6 +336,9 @@ def cmd_reconstruct(ns) -> int:
 
 
 def cmd_stats(ns) -> int:
+    inputs = [("--raw", ns.raw), ("--processed", ns.processed),
+              ("--sidecar", ns.sidecar), ("--input", ns.input)]
+    _refuse_to_replace([], inputs, ns.stats_json)
     if ns.pixel_change:
         if not ns.input:
             raise _UsageError("--pixel-change requires --input")
@@ -399,8 +414,11 @@ def cmd_bench(ns) -> int:
         raise _UsageError("bench needs a re-readable input file, not -")
 
     with tempfile.TemporaryDirectory(prefix="motionsieve-bench-") as tmp:
+        # Each replicate's outputs are deleted with the folder: not fsynced.
         reports = [
-            _compress_once(ns, motion, os.path.join(tmp, f"replicate{index}"))[0]
+            _compress_once(
+                ns, motion, os.path.join(tmp, f"replicate{index}"), durable=False
+            )[0]
             for index in range(ns.replicates)
         ]
 

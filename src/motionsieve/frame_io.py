@@ -55,6 +55,9 @@ from .errors import (
 
 _MAX_LINE = 4096
 _STDERR_TAIL = 8192
+# Seconds a codec child is waited for once its stream has failed, and its
+# stderr tail once it exited nonzero; a child still running then is killed.
+_GRACE_SECONDS = 5.0
 # Bytes asked of the kernel for each codec pipe: Linux's default
 # pipe-max-size for unprivileged processes, so a 3.1 MB 1080p frame
 # crosses in about 3 wakeups instead of about 48 through the default
@@ -77,6 +80,15 @@ class PixelFormat(Enum):
         if self is PixelFormat.YUV444:
             return 3 * width * height
         return width * height * 3 // 2
+
+
+def _check_layout(width: int, height: int, pixel_format: PixelFormat) -> None:
+    """Raise ValueError unless a frame of these dimensions can hold the
+    layout: both at least 1, and both even for 4:2:0 chroma."""
+    if width < 1 or height < 1:
+        raise ValueError("frame dimensions must be positive")
+    if pixel_format is PixelFormat.YUV420 and (width % 2 or height % 2):
+        raise ValueError("yuv420 requires even width and height")
 
 
 _COLORSPACE_TO_FORMAT = {
@@ -111,16 +123,11 @@ class StreamHeader:
     extra_tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("frame dimensions must be positive")
         if self.width > _MAX_DIMENSION or self.height > _MAX_DIMENSION:
             raise ValueError(f"frame dimensions must be at most {_MAX_DIMENSION}")
+        _check_layout(self.width, self.height, self.pixel_format)
         if self.fps_num < 1 or self.fps_den < 1:
             raise ValueError("frame rate must be positive")
-        if self.pixel_format is PixelFormat.YUV420 and (
-            self.width % 2 or self.height % 2
-        ):
-            raise ValueError("yuv420 requires even width and height")
 
     @property
     def fps(self) -> float:
@@ -151,12 +158,7 @@ class Frame:
     data: bytes | memoryview = field(hash=False)
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("frame dimensions must be positive")
-        if self.pixel_format is PixelFormat.YUV420 and (
-            self.width % 2 or self.height % 2
-        ):
-            raise ValueError("yuv420 requires even width and height")
+        _check_layout(self.width, self.height, self.pixel_format)
         view = memoryview(self.data)
         if not view.readonly:
             raise ValueError("payload must be read-only")
@@ -584,7 +586,9 @@ class _CodecChild(_Stream):
         call is not signalled again: its group was killed then, and its pid
         may name another process by now.  A child that was not killed and
         exited nonzero raises NonZeroExit, carrying its stderr tail and
-        chained to ``cause``."""
+        chained to ``cause``.  With a ``cause``, the stream's own failure,
+        the child is waited for at most ``_GRACE_SECONDS`` and then killed,
+        and this returns so that the caller raises ``cause``."""
         reaped = self._proc.returncode is not None
 
         def kill_group() -> None:
@@ -600,12 +604,18 @@ class _CodecChild(_Stream):
             self._pipe.close()
         except OSError:
             pass
-        rc = self._proc.wait()
+        try:
+            rc = self._proc.wait(None if cause is None else _GRACE_SECONDS)
+        except subprocess.TimeoutExpired:
+            # The stream has failed already, and its error says why.
+            kill = True
+            kill_group()
+            rc = self._proc.wait()
         kill_group()
         if rc != 0 and not kill:
             # Only a reported tail waits for stderr's end: a process that
             # left the child's group can hold it open after the group died.
-            self._stderr.join(timeout=5.0)
+            self._stderr.join(timeout=_GRACE_SECONDS)
             detail = self._stderr.text()
             message = f"{self._role} command exited with status {rc}"
             raise NonZeroExit(f"{message}: {detail}" if detail else message) from cause

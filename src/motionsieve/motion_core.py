@@ -27,7 +27,8 @@ mean must land on a uint8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterator
 
@@ -60,6 +61,9 @@ class MotionConfig:
         this many emitted frames.
     min_motion_pixels: mask population (after dilation) below which the
         frame is dropped.
+
+    Each field is an integer: a float or any value ``operator.index``
+    refuses raises ValueError naming the field.
     """
 
     threshold: int = 25
@@ -69,6 +73,14 @@ class MotionConfig:
     min_motion_pixels: int = 10
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{field.name} must be an integer, got {value!r}"
+                ) from None
         if not 1 <= self.threshold <= 255:
             raise ValueError("threshold must be in [1, 255]")
         if self.downscale < 1:
@@ -282,7 +294,7 @@ def apply_mask(frame: Frame, mask: np.ndarray, factor: int = 1) -> Frame:
     _check_grid(mask, factor, w, h)
     # Every factor past the frame gives the same 1x1 grid; clamped, a grid
     # row repeated across stays the width of the frame.
-    factor = min(factor, max(h, w, 1))
+    factor = min(factor, max(h, w))
     raw = np.frombuffer(frame.data, dtype=np.uint8)
     kept = np.empty_like(raw)
     planes = 3 if frame.pixel_format is PixelFormat.YUV444 else 1

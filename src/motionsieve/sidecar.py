@@ -42,17 +42,21 @@ class SidecarRecord:
 
 class SidecarWriter(_Sink):
     """Streaming writer over a text sink, which it owns and fails on as a
-    Y4MWriter does; the header row is written at construction."""
+    Y4MWriter does; the header row is written at construction.  A row
+    that ``read_sidecar`` would refuse raises its error, unwritten."""
 
     def _start(self) -> None:
-        self._writer = csv.writer(self._stream, lineterminator="\n")
-        self._guarded(self._writer.writerow, FIELDNAMES)
+        self._previous_input, self._written = -1, 0
+        self._write(",".join(FIELDNAMES) + "\n")
 
     def write_row(self, record: SidecarRecord) -> None:
-        self._guarded(
-            self._writer.writerow,
-            (record.input_frame, record.output_frame, int(record.full_frame)),
+        fields = record.input_frame, record.output_frame, int(record.full_frame)
+        row = _checked_row(
+            self._written + 1, [str(field) for field in fields],
+            self._previous_input, self._written,
         )
+        self._write(f"{row.input_frame},{row.output_frame},{int(row.full_frame)}\n")
+        self._previous_input, self._written = row.input_frame, self._written + 1
 
 
 def write_sidecar(records: Iterable[SidecarRecord], sink: IO[str]) -> None:
@@ -94,36 +98,49 @@ def _records(source: Iterable[str]) -> Iterator[SidecarRecord]:
         for row_number, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if len(row) != 3:
-                raise MalformedRow(f"row {row_number}: expected 3 fields, got {len(row)}")
-            for name, field in zip(FIELDNAMES, row):
-                if len(field) > _MAX_FIELD:
-                    raise MalformedRow(
-                        f"row {row_number}: {name} is too long ({len(field)} characters)"
-                    )
-            try:
-                input_frame, output_frame, flag = (int(field) for field in row)
-            except ValueError:
-                raise MalformedRow(f"row {row_number}: non-integer field") from None
-            if flag not in (0, 1):
-                raise MalformedRow(f"row {row_number}: full_frame must be 0 or 1")
-            if input_frame < 0:
-                raise MalformedRow(f"row {row_number}: negative input_frame")
-            if input_frame <= previous_input:
-                raise NonMonotonicIndex(
-                    f"row {row_number}: input_frame {input_frame} after {previous_input}"
-                )
-            if output_frame != yielded:
-                raise NonMonotonicIndex(
-                    f"row {row_number}: output_frame {output_frame}, expected {yielded}"
-                )
-            previous_input, yielded = input_frame, yielded + 1
-            yield SidecarRecord(input_frame, output_frame, bool(flag))
+            record = _checked_row(row_number, row, previous_input, yielded)
+            previous_input, yielded = record.input_frame, yielded + 1
+            yield record
     except UnicodeDecodeError:
         # A text file decodes lazily, as rows are pulled.
         raise MalformedRow("sidecar is not UTF-8 text") from None
     except csv.Error as exc:
         raise MalformedRow(str(exc)) from None
+
+
+def _checked_row(
+    row_number: int, row: list[str], previous_input: int, output: int
+) -> SidecarRecord:
+    """The record that a row's text fields give, once they pass the schema
+    (three fields, each an integer of at most ``_MAX_FIELD`` characters,
+    the flag 0 or 1, the input not negative) and follow a row whose input
+    was ``previous_input`` (-1 for the first) at output position
+    ``output``.  Raises MalformedRow or NonMonotonicIndex naming
+    ``row_number``."""
+    if len(row) != 3:
+        raise MalformedRow(f"row {row_number}: expected 3 fields, got {len(row)}")
+    for name, field in zip(FIELDNAMES, row):
+        if len(field) > _MAX_FIELD:
+            raise MalformedRow(
+                f"row {row_number}: {name} is too long ({len(field)} characters)"
+            )
+    try:
+        input_frame, output_frame, flag = (int(field) for field in row)
+    except ValueError:
+        raise MalformedRow(f"row {row_number}: non-integer field") from None
+    if flag not in (0, 1):
+        raise MalformedRow(f"row {row_number}: full_frame must be 0 or 1")
+    if input_frame < 0:
+        raise MalformedRow(f"row {row_number}: negative input_frame")
+    if input_frame <= previous_input:
+        raise NonMonotonicIndex(
+            f"row {row_number}: input_frame {input_frame} after {previous_input}"
+        )
+    if output_frame != output:
+        raise NonMonotonicIndex(
+            f"row {row_number}: output_frame {output_frame}, expected {output}"
+        )
+    return SidecarRecord(input_frame, output_frame, bool(flag))
 
 
 def _bounded_lines(stream: IO[str]) -> Iterator[str]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TooFewFrames, ZeroInput
 from .frame_io import Frame
-from .motion_core import _band_diffs, check_gray_pair, to_grayscale
+from .motion_core import _band_diffs, check_gray_pair, threshold_mask, to_grayscale
 
 
 def _as_decimal(value) -> Decimal:
@@ -80,7 +80,8 @@ def pixel_change_series(
         if prev is not None:
             check_gray_pair(prev, gray)
             changed = sum(
-                np.count_nonzero(band > threshold) for _, band in _band_diffs(prev, gray)
+                np.count_nonzero(threshold_mask(band, threshold))
+                for _, band in _band_diffs(prev, gray)
             )
             values.append(changed * 100.0 / gray.size)
         prev = gray

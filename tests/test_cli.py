@@ -129,6 +129,29 @@ def test_compress_fsyncs_each_output_before_its_rename_then_the_folder(
     assert [call[0] for call in calls] == ["replace"] * 3
 
 
+def test_bench_fsyncs_nothing_and_compress_fsyncs_its_outputs(tmp_path, monkeypatch):
+    """bench deletes each replicate's outputs, so it flushes none of them
+    to the disk; compress flushes its two outputs and their folder."""
+    calls = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    src = os.path.join(tmp_path, "sq.y4m")
+    write_square_y4m(src)
+    code, _, err = run_cli(["bench", "--input", src, "--replicates", "3"])
+    assert code == 0, err
+    assert calls == []
+    code, _, err = run_cli(
+        ["compress", "--input", src, "--output", os.path.join(tmp_path, "out")]
+    )
+    assert code == 0, err
+    assert len(calls) == 3
+
+
 def test_compress_emits_stats_json(tmp_path):
     src = os.path.join(tmp_path, "sq.y4m")
     write_square_y4m(src)
@@ -513,6 +536,58 @@ def test_compress_refuses_an_output_that_would_replace_its_config(tmp_path):
     assert "would replace --config" in err
     assert config.read_text(encoding="utf-8") == "threshold = 20\n"
     assert sorted(os.listdir(tmp_path)) == ["cfg.csv", "clip.y4m"]
+
+
+@pytest.mark.parametrize(
+    "argv, replaced",
+    [
+        (["compress", "--input", "clip.y4m", "--output", "{tmp}/out",
+          "--stats-json", "clip.y4m"], "--input"),
+        (["compress", "--input", "clip.y4m", "--output", "{tmp}/out",
+          "--stats-json", "out.y4m"], "output"),
+        (["compress", "--input", "clip.y4m", "--output", "{tmp}/out",
+          "--stats-json", "./out.csv"], "output"),
+        (["compress", "--input", "clip.y4m", "--output", "out",
+          "--stats-json", "{tmp}/out.y4m.partial"], "output"),
+        (["compress", "--input", "clip.y4m", "--output", "out",
+          "--config", "cfg.conf", "--stats-json", "cfg.conf"], "--config"),
+        (["bench", "--input", "clip.y4m", "--replicates", "1",
+          "--stats-json", "{tmp}/clip.y4m"], "--input"),
+        (["bench", "--input", "clip.y4m", "--replicates", "1",
+          "--config", "cfg.conf", "--stats-json", "cfg.conf"], "--config"),
+        (["stats", "--raw", "clip.y4m", "--processed", "comp.y4m",
+          "--stats-json", "clip.y4m"], "--raw"),
+        (["stats", "--raw", "clip.y4m", "--processed", "comp.y4m",
+          "--stats-json", "comp.y4m"], "--processed"),
+        (["stats", "--raw", "clip.y4m", "--processed", "comp.y4m",
+          "--sidecar", "comp.csv", "--stats-json", "comp.csv"], "--sidecar"),
+        (["stats", "--pixel-change", "--input", "clip.y4m",
+          "--stats-json", "clip.y4m"], "--input"),
+    ],
+    ids=["compress-input", "compress-video", "compress-sidecar",
+         "compress-video-partial", "compress-config", "bench-input",
+         "bench-config", "stats-raw", "stats-processed", "stats-sidecar",
+         "pixel-change-input"],
+)
+def test_stats_json_refuses_to_replace_an_input_or_an_output(
+    tmp_path, monkeypatch, argv, replaced
+):
+    """A --stats-json path that is one of the run's inputs, or one of its
+    outputs or their *.partial files, named by any spelling of its path, is
+    an argument error found before any stream opens: every file keeps its
+    bytes and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    write_square_y4m(tmp_path / "clip.y4m")
+    (tmp_path / "cfg.conf").write_text("threshold = 20\n", encoding="utf-8")
+    code, _, err = run_cli(["compress", "--input", "clip.y4m", "--output", "comp"])
+    assert code == 0, err
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    code, out, err = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: InvalidArgument: "), err
+    assert "--stats-json " in err and f" would replace {replaced} " in err, err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize(

@@ -757,6 +757,58 @@ def test_codec_encoder_that_exits_0_unread_fails_on_close(tmp_path):
     assert output.read_bytes() == b""
 
 
+def _group_is_gone(pid_file) -> bool:
+    """Whether the process group led by the pid in ``pid_file`` is gone."""
+    try:
+        os.killpg(int(pid_file.read_text()), 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_codec_decoder_whose_header_is_refused_is_killed_after_the_grace(
+    tmp_path, monkeypatch
+):
+    """A decoder that printed a bad header and never exits is waited for
+    at most _GRACE_SECONDS, then killed with its group, and the header's
+    own error leaves the constructor."""
+    monkeypatch.setattr(frame_io, "_GRACE_SECONDS", 1.0, raising=False)
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"data")
+    template = "sh -c 'echo $$ > \"$0.pid\"; echo garbage; exec sleep 60' {input}"
+    started = time.monotonic()
+    with pytest.raises(MalformedHeader, match="missing YUV4MPEG2 signature"):
+        CodecDecoder(template, path)
+    assert 1.0 <= time.monotonic() - started < 1.0 + 2.0
+    assert _group_is_gone(tmp_path / "x.bin.pid")
+
+
+def test_codec_encoder_that_closed_its_input_is_killed_after_the_grace(
+    tmp_path, monkeypatch
+):
+    """An encoder that closed its input and never exits is waited for at
+    most _GRACE_SECONDS, then killed with its group, and the write raises
+    BrokenPipe."""
+    monkeypatch.setattr(frame_io, "_GRACE_SECONDS", 1.0, raising=False)
+    output = tmp_path / "out.enc"
+    template = "sh -c 'echo $$ > \"$0.pid\"; exec <&-; exec sleep 60' {output}"
+    header = StreamHeader(640, 480, 30, 1, PixelFormat.GRAY8)
+    big = gray_frame(np.zeros((480, 640), dtype=np.uint8))
+    encoder = CodecEncoder(template, output, header)
+    try:
+        while not (tmp_path / "out.enc.pid").exists():
+            time.sleep(0.01)
+        started = time.monotonic()
+        with pytest.raises(BrokenPipe) as excinfo:
+            for _ in range(64):
+                encoder.write_frame(big)
+        assert time.monotonic() - started < 1.0 + 2.0
+        assert isinstance(excinfo.value.__cause__, BrokenPipeError)
+        assert _group_is_gone(tmp_path / "out.enc.pid")
+    finally:
+        encoder.abort()
+
+
 def test_codec_template_requires_placeholder(tmp_path):
     header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
     with pytest.raises(ValueError):

@@ -59,6 +59,27 @@ def test_config_validation(kwargs):
         MotionConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("threshold", 25.7),
+        ("downscale", 2.5),
+        ("buffer_radius", 1.5),
+        ("keyframe_interval", 1.5),
+        ("min_motion_pixels", 10.0),
+    ],
+)
+def test_config_refuses_a_non_integer_field(name, value):
+    """Refused at construction, naming the field, instead of failing mid-run
+    or being used as given; numpy integers pass as Python ones do."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        MotionConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got '3'$"):
+        MotionConfig(**{name: "3"})
+    config = MotionConfig(**{name: np.int64(3)})
+    assert getattr(config, name) == 3
+
+
 def test_grayscale_gray_is_identity():
     arr = np.arange(12, dtype=np.uint8).reshape(3, 4)
     assert np.array_equal(to_grayscale(gray_frame(arr)), arr)

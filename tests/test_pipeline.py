@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from motionsieve import (
     DimensionMismatch,
+    MalformedRow,
     MotionConfig,
+    NonMonotonicIndex,
     PixelFormat,
     SidecarRecord,
     SinkUnavailable,
@@ -122,6 +124,31 @@ def test_yuv444_motion_in_the_luma_plane_alone_is_kept():
     kept, records = reference_compress(frames, MotionConfig())
     assert [frame.index for frame in kept] == [0, 1, 2]
     assert records_to_csv(records).splitlines()[1:] == ["0,0,1", "1,1,1", "2,2,0"]
+
+
+@pytest.mark.parametrize(
+    "index, error, message, written",
+    [
+        (0, NonMonotonicIndex, "row 2: input_frame 0 after 0", [0]),
+        (-1, MalformedRow, "row 1: negative input_frame", []),
+        (False, MalformedRow, "row 1: non-integer field", []),
+    ],
+    ids=["repeated", "negative", "bool"],
+)
+def test_pipeline_refuses_frame_indices_its_sidecar_could_not_hold(
+    index, error, message, written
+):
+    """Library frames whose ``index`` is not a strictly increasing count
+    from 0 stop the run with the error read_sidecar would raise on the
+    row, and the sidecar holds only the rows before it."""
+    header = StreamHeader(40, 32, 30, 1, PixelFormat.GRAY8)
+    frames = [gray_frame(luma, index) for luma in moving_square_luma(40, 32, 6)]
+    sidecar = io.StringIO()
+    with pytest.raises(error, match=f"^{message}$"):
+        run_pipeline(frames, MotionConfig(), Y4MWriter(io.BytesIO(), header),
+                     SidecarWriter(sidecar))
+    rows = read_sidecar(io.StringIO(sidecar.getvalue()))
+    assert [row.input_frame for row in rows] == written
 
 
 def test_failing_source_raises_its_own_error():

@@ -215,3 +215,28 @@ def test_roundtrip_random(gaps_and_flags, first_input):
         records.append(SidecarRecord(input_frame, output_frame, full))
         input_frame += gap
     assert roundtrip(records) == records
+
+
+@pytest.mark.parametrize(
+    "records, error, message",
+    [
+        ([SidecarRecord(-1, 0, True)], MalformedRow, "row 1: negative input_frame"),
+        ([SidecarRecord(False, 0, True)], MalformedRow, "row 1: non-integer field"),
+        ([SidecarRecord(0, 0, True), SidecarRecord(0, 1, False)], NonMonotonicIndex,
+         "row 2: input_frame 0 after 0"),
+        ([SidecarRecord(0, 0, True), SidecarRecord(5, 2, False)], NonMonotonicIndex,
+         "row 2: output_frame 2, expected 1"),
+        ([SidecarRecord(10**40, 0, True)], MalformedRow,
+         r"row 1: input_frame is too long \(41 characters\)"),
+    ],
+    ids=["negative", "bool-index", "repeated-input", "output-gap", "overlong"],
+)
+def test_writer_refuses_a_row_the_reader_would_refuse(records, error, message):
+    """write_sidecar raises, on the row itself, the error read_sidecar
+    would raise on the text it wrote, and the sink keeps the rows before
+    it, each written whole."""
+    sink = io.StringIO()
+    with pytest.raises(error, match=f"^{message}$"):
+        write_sidecar(records, sink)
+    assert read_sidecar(io.StringIO(sink.getvalue())) == records[:-1]
+
