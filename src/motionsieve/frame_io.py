@@ -175,13 +175,13 @@ def parse_y4m_header(stream: BinaryIO) -> StreamHeader:
     """Read and decode the Y4M signature line from ``stream``.
 
     Raises MalformedHeader when the signature or a required tag is missing
-    or undecodable, when W or H exceeds 16384 or when the line is longer
-    than 4096 bytes, UnsupportedColorspace for C tags outside the supported
-    families.  A missing F tag defaults to 30:1, a missing C tag to the
-    conventional 4:2:0.
+    or undecodable, when a tag holds a non-ASCII byte, when W or H exceeds
+    16384 or when the line is longer than 4096 bytes, UnsupportedColorspace
+    for C tags outside the supported families.  A missing F tag defaults to
+    30:1, a missing C tag to the conventional 4:2:0.
     """
     line = _read_line(stream, "header", MalformedHeader)
-    tokens = line.decode("ascii", "replace").rstrip("\n").split(" ")
+    tokens = line.decode("ascii", "surrogateescape").rstrip("\n").split(" ")
     if tokens[0] != "YUV4MPEG2" or len(tokens) < 2:
         raise MalformedHeader("missing YUV4MPEG2 signature")
 
@@ -192,6 +192,9 @@ def parse_y4m_header(stream: BinaryIO) -> StreamHeader:
     for token in tokens[1:]:
         if not token:
             continue
+        if not token.isascii():
+            raw = token.encode("ascii", "surrogateescape")
+            raise MalformedHeader(f"tag {raw!r} holds a non-ASCII byte")
         key, value = token[0], token[1:]
         if key == "W":
             width = _parse_positive(value, "W")

@@ -1,12 +1,14 @@
 """Concurrent stage runner, and the compression pipeline built on it.
 
 _run_stages runs a source, zero or more folds and an emit on one thread
-per link, joined by FIFO queues bounded in frames and in bytes, so a slow
+per stage, joined by _Link FIFOs bounded in frames and in bytes, so a slow
 stage applies backpressure instead of ballooning memory, whatever the
-frame size.  A stage pulls its next item only once the queue it feeds has
-room, so no stage holds an item it cannot hand on.  End of input is
-signalled by a sentinel that cascades down the queues.  On any stage error
-the others are cancelled promptly and the first error is raised unchanged.
+frame size.  A stage pulls its next item only once the link it feeds has
+room, so no stage holds an item it cannot hand on, and a waiting stage
+sleeps until it has work or the run is cancelled.  End of input is
+signalled by a sentinel that cascades down the links.  On any stage error
+every link is cancelled, which wakes each waiting stage at once, and the
+first error is raised unchanged.
 
 run_pipeline is the compression run: reader, analysis fold _kept and
 writer.  reconstruct_files runs the rebuild on the same runner, with no
@@ -20,9 +22,9 @@ answer to "what is this pipeline supposed to produce".
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -46,7 +48,6 @@ QUEUE_CAPACITY = 8
 QUEUE_BYTE_BUDGET = 3 * 1920 * 1080 * 3 // 2
 
 _SENTINEL = object()
-_POLL_SECONDS = 0.05
 _SHUTDOWN_SECONDS = 1.0
 
 
@@ -62,39 +63,52 @@ def _payload(item) -> int:
     return len(frame.data) if isinstance(frame, Frame) else 0
 
 
-class _PayloadQueue(queue.Queue):
-    """A FIFO that is full at ``maxsize`` items or at QUEUE_BYTE_BUDGET
-    bytes of frame payload, whichever comes first.  An empty queue always
-    admits one item, so a frame larger than the budget still moves."""
+class _Link:
+    """The FIFO that joins one stage to the next: full at ``capacity``
+    items or at QUEUE_BYTE_BUDGET bytes of frame payload, whichever comes
+    first, though an empty link admits one item of any size.  One stage
+    puts and one gets, so at most one of them waits on the condition.
+    Waits take no timeout; once the link is cancelled, each raises
+    _Cancelled."""
 
-    def _init(self, maxsize):
-        super()._init(maxsize)
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.items: deque = deque()
         self.payload = 0
+        self.cancelled = False
+        self.changed = threading.Condition()
 
-    def _qsize(self):
-        # Queue.put waits while this is >= maxsize and Queue.get while it
-        # is 0; a queue over budget is never empty, so it reads as full.
-        if self.payload >= QUEUE_BYTE_BUDGET:
-            return self.maxsize
-        return len(self.queue)
+    def _wait(self, ready: Callable[[], bool]) -> None:
+        """Wait, holding the lock, until ``ready()`` or cancellation."""
+        self.changed.wait_for(lambda: self.cancelled or ready())
+        if self.cancelled:
+            raise _Cancelled
 
-    def _put(self, item):
-        self.payload += _payload(item)
-        super()._put(item)
+    def wait_for_room(self) -> None:
+        """Return once the link has room for one more item."""
+        with self.changed:
+            self._wait(lambda: len(self.items) < self.capacity
+                       and self.payload < QUEUE_BYTE_BUDGET)
 
-    def _get(self):
-        item = super()._get()
-        self.payload -= _payload(item)
-        return item
+    def put(self, item) -> None:
+        with self.changed:
+            self.items.append(item)
+            self.payload += _payload(item)
+            self.changed.notify()
 
-    def wait_for_room(self, timeout: float) -> None:
-        """Return once a put would not block; raise queue.Full if that
-        takes longer than ``timeout`` seconds."""
-        with self.not_full:
-            if not self.not_full.wait_for(
-                lambda: self._qsize() < self.maxsize, timeout
-            ):
-                raise queue.Full
+    def get(self):
+        """The oldest item, once there is one."""
+        with self.changed:
+            self._wait(lambda: bool(self.items))
+            item = self.items.popleft()
+            self.payload -= _payload(item)
+            self.changed.notify()
+            return item
+
+    def cancel(self) -> None:
+        with self.changed:
+            self.cancelled = True
+            self.changed.notify_all()
 
 
 @dataclass(frozen=True)
@@ -165,15 +179,14 @@ def _run_stages(
     queue_capacity: int,
 ) -> tuple[int, int]:
     """Run ``source`` through each ``(name, fold)`` in turn into ``emit``,
-    one thread per link.
+    one thread per stage.
 
     The ``read`` stage iterates ``source``, each fold's stage maps the
-    items of the link before it to the items of its own, and the ``write``
-    stage calls ``emit`` on each item of the last link, in order.  A
-    _PayloadQueue of ``queue_capacity`` joins each link to the next, and a
-    stage pulls its next item only once the queue it feeds has room, so a
-    link holds at most its queue's items plus the one its consumer is on.
-    Iterating ``source`` and calling ``emit`` count as the caller's code.
+    items of the _Link before it to the items of its own, and the
+    ``write`` stage calls ``emit`` on each item of the last link, in order.
+    Each link holds at most ``queue_capacity`` items, and a stage pulls its
+    next item only once the link it feeds has room.  Iterating ``source``
+    and calling ``emit`` count as the caller's code.
 
     Returns the items read and the items written; once every stage has
     stopped, the first error of any stage is raised as it was raised.  On
@@ -181,27 +194,23 @@ def _run_stages(
     waiting for a stage inside the caller's code.
     """
     stop = threading.Event()
+    links = [_Link(queue_capacity) for _ in range(len(folds) + 1)]
     failure_lock = threading.Lock()
     failures: list[BaseException] = []
     results: dict[str, int] = {}
     finished: dict[str, threading.Event] = {}
     in_caller: set[str] = set()
 
+    def cancel() -> None:
+        stop.set()
+        for link in links:
+            link.cancel()
+
     def fail(exc: BaseException) -> None:
         with failure_lock:
             if not failures:
                 failures.append(exc)
-        stop.set()
-
-    def poll(call, *args):
-        """``call(*args)`` on a queue, retried until it goes through or
-        the run is cancelled."""
-        while not stop.is_set():
-            try:
-                return call(*args, timeout=_POLL_SECONDS)
-            except (queue.Full, queue.Empty):
-                continue
-        raise _Cancelled
+        cancel()
 
     def caller(name: str, call, *args):
         """``call(*args)``, a call into the caller's source or sinks, made
@@ -221,18 +230,18 @@ def _run_stages(
         while (item := caller("read", next, items, _SENTINEL)) is not _SENTINEL:
             yield item
 
-    def drain(q: _PayloadQueue):
-        while (item := poll(q.get)) is not _SENTINEL:
+    def drain(link: _Link):
+        while (item := link.get()) is not _SENTINEL:
             yield item
 
-    def pump(items: Iterator, q: _PayloadQueue) -> int:
+    def pump(items: Iterator, link: _Link) -> int:
         count = 0
         while True:
-            # Only this stage puts on q, so the room it waited for is still
-            # there once the next item is pulled.
-            poll(q.wait_for_room)
+            # Only this stage puts on the link, so the room it waited for is
+            # still there once the next item is pulled.
+            link.wait_for_room()
             item = next(items, _SENTINEL)
-            q.put_nowait(item)
+            link.put(item)
             if item is _SENTINEL:
                 return count
             count += 1
@@ -263,12 +272,10 @@ def _run_stages(
         finished[name] = done
 
     try:
-        link = _PayloadQueue(queue_capacity)
-        stage("read", pump, pull(source), link)
-        for name, fold in folds:
-            items, link = drain(link), _PayloadQueue(queue_capacity)
-            stage(name, pump, fold(items), link)
-        stage("write", write, drain(link))
+        stage("read", pump, pull(source), links[0])
+        for (name, fold), before, after in zip(folds, links, links[1:]):
+            stage(name, pump, fold(drain(before)), after)
+        stage("write", write, drain(links[-1]))
         for done in finished.values():
             done.wait()
     except BaseException:
@@ -278,7 +285,7 @@ def _run_stages(
         # its streams, after this returns, so it is not waited for.  Read
         # after stop is set, in_caller misses no stage that could still
         # enter such a call; the rest share one deadline.
-        stop.set()
+        cancel()
         deadline = time.monotonic() + _SHUTDOWN_SECONDS
         for name in [name for name in finished if name not in in_caller]:
             finished[name].wait(max(0.0, deadline - time.monotonic()))

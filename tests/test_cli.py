@@ -15,6 +15,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -730,6 +731,39 @@ def test_compress_malformed_header(tmp_path):
     )
     assert code == 1
     assert err.startswith("error: MalformedHeader:")
+
+
+@pytest.mark.parametrize("command", ["compress", "reconstruct", "stats"])
+def test_a_non_ascii_header_tag_prints_one_malformed_header_line(
+    tmp_path, command
+):
+    """A header tag holding a byte outside ASCII, which no Y4M header could
+    carry on, fails where the header is read: one MalformedHeader line that
+    names the tag, and every input keeps its bytes."""
+    folder, out_dir = tmp_path / "in", tmp_path / "out"
+    folder.mkdir()
+    out_dir.mkdir()
+    clip, sidecar = str(folder / "clip.y4m"), str(folder / "clip.csv")
+    with open(clip, "wb") as fh:
+        fh.write(b"YUV4MPEG2 W8 H6 F25:1 Cmono X\xe9\n" + b"FRAME\n" + bytes(48))
+        fh.write((b"FRAME\n" + bytes([200]) * 48) * 3)
+    with open(sidecar, "w", newline="") as fh:
+        write_sidecar((SidecarRecord(i, i, i == 0) for i in range(4)), fh)
+    inputs = {path: Path(path).read_bytes() for path in (clip, sidecar)}
+    out = str(out_dir / "o")
+    argv = {
+        "compress": ["compress", "--input", clip, "--output", out],
+        "reconstruct": ["reconstruct", "--input", clip, "--sidecar", sidecar,
+                        "--output", out],
+        "stats": ["stats", "--pixel-change", "--input", clip,
+                  "--stats-json", out + ".json"],
+    }[command]
+    code, stdout, err = run_cli(argv)
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: MalformedHeader: tag b'X\\xe9' holds a non-ASCII byte\n"
+    assert {path: Path(path).read_bytes() for path in inputs} == inputs
+    assert all(name.endswith(".partial") for name in os.listdir(out_dir))
 
 
 def test_compress_truncated_stream_leaves_partials(tmp_path):

@@ -3,8 +3,10 @@ import io
 import itertools
 import math
 import os
+import sys
 import tempfile
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -230,6 +232,100 @@ def test_capacity_one_with_heavy_drops_terminates():
         )
     assert report.frames_in == 200
     assert report.frames_out == 1
+
+
+@contextlib.contextmanager
+def _recorded_waits():
+    """Inside the ``with`` block, every threading.Condition.wait made by
+    this thread or a stage thread appends ``(thread name, timeout)`` to the
+    list this yields, and the set this yields holds the names of the
+    threads inside such a wait."""
+    waits, waiting = [], set()
+    real = threading.Condition.wait
+    here = threading.current_thread().name
+
+    def wait(self, timeout=None):
+        name = threading.current_thread().name
+        if name != here and not name.startswith("motionsieve-"):
+            return real(self, timeout)
+        waits.append((name, timeout))
+        waiting.add(name)
+        try:
+            return real(self, timeout)
+        finally:
+            waiting.discard(name)
+
+    with mock.patch.object(threading.Condition, "wait", wait):
+        yield waits, waiting
+
+
+def test_an_idle_run_makes_no_timed_wait():
+    """A stage waiting on a link sleeps until it has work or the run is
+    cancelled: while the source pauses between two frames, no stage wakes
+    on a timer."""
+
+    def paused():
+        yield gray_frame(np.zeros((48, 64), np.uint8), 0)
+        time.sleep(0.3)
+        yield gray_frame(np.full((48, 64), 200, np.uint8), 1)
+
+    writer = Y4MWriter(io.BytesIO(), StreamHeader(64, 48, 30, 1, PixelFormat.GRAY8))
+    with _recorded_waits() as (waits, _):
+        report = run_pipeline(paused(), MotionConfig(), writer,
+                              SidecarWriter(io.StringIO()))
+    assert (report.frames_in, report.frames_out) == (2, 2)
+    assert ("motionsieve-analysis", None) in waits
+    assert [wait for wait in waits if wait[1] is not None] == []
+
+
+def test_a_write_failure_wakes_a_read_stage_waiting_for_room():
+    """At depth 1, a write-stage failure reaches a read stage that waits
+    for room on its full link by cancelling the link, not on a timer: no
+    wait of the run carries a timeout.  The sink fails once analysis waits
+    for room behind it, so the read stage's wait can end only by the
+    cancellation."""
+    rng = np.random.default_rng(5)
+    frames = [
+        gray_frame(rng.integers(0, 256, (8, 8), np.uint8), i) for i in range(50)
+    ]
+
+    class FailOnceBothWait:
+        def write_frame(self, frame):
+            deadline = time.monotonic() + 10
+            while not {"motionsieve-read", "motionsieve-analysis"} <= waiting:
+                assert time.monotonic() < deadline, waits
+                time.sleep(0.001)
+            raise SinkUnavailable("disk full")
+
+    with _recorded_waits() as (waits, waiting), at_depth(1):
+        with pytest.raises(SinkUnavailable, match="^disk full$"):
+            run_pipeline(
+                frames, MotionConfig(downscale=1, min_motion_pixels=1),
+                FailOnceBothWait(), SidecarWriter(io.StringIO()),
+            )
+    _assert_no_stage_thread()
+    assert [wait for wait in waits if wait[1] is not None] == []
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_links_lose_no_item_when_threads_switch_every_microsecond(capacity):
+    """Each link's items, byte count and wake-ups are shared by two threads:
+    with the interpreter switching between them as often as it can, the run
+    still emits exactly the reference output."""
+    header = StreamHeader(24, 16, 30, 1, PixelFormat.GRAY8)
+    lumas = moving_square_luma(24, 16, 200, size=4, step=3)
+    frames = [gray_frame(luma, i) for i, luma in enumerate(lumas)]
+    expected = render_reference(header, frames, VARIED_CONFIG)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        video, sidecar, report = render_pipeline(
+            header, frames, VARIED_CONFIG, capacity
+        )
+    finally:
+        sys.setswitchinterval(previous)
+    assert (video, sidecar) == expected
+    assert report.frames_in == len(frames)
 
 
 def test_report_speed_consistent_with_counts():
