@@ -1,18 +1,23 @@
 """Concurrent stage runner, and the compression pipeline built on it.
 
-_run_stages runs a source, zero or more folds and an emit on one thread
+_run_stages runs a source, at most one fold and an emit on one thread
 per stage, joined by _Link FIFOs bounded in frames and in bytes, so a slow
 stage applies backpressure instead of ballooning memory, whatever the
 frame size.  A stage pulls its next item only once the link it feeds has
 room, so no stage holds an item it cannot hand on, and a waiting stage
 sleeps until it has work or the run is cancelled.  End of input is
-signalled by a sentinel that cascades down the links.  On any stage error
-every link is cancelled, which wakes each waiting stage at once, and the
-first error is raised unchanged.
+signalled by a sentinel that cascades down the links.  A stage error
+cancels every link before the failed stage, which wakes each stage
+waiting there at once, and ends the link after it with the sentinel, so
+the stages after it still hand on every item they were given: the sinks
+hold the output of each item before the failure.  The first error is
+raised unchanged.
 
 run_pipeline is the compression run: reader, analysis fold _kept and
 writer.  reconstruct_files runs the rebuild on the same runner, with no
-fold: read and rebuild on one thread, the three writes on the other.
+fold: read and rebuild on one thread, the three writes on the other.  The
+write stage hands emit each item with its 0-based position, which is the
+output position of a compressed frame and of a rebuilt one alike.
 
 Queue bounds affect scheduling only: for any capacity >= 1 the emitted
 video and sidecar are byte-identical to the single-threaded
@@ -26,11 +31,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .frame_io import Frame
 from .motion_core import AnalysisOutcome, AnalysisState, MotionConfig, analyse
-from .sidecar import SidecarRecord
+from .sidecar import SidecarRecord, _checked_record
 
 # Frames each inter-stage queue holds at most.  Frames over an eighth of
 # the byte budget below, such as 1080p, meet the budget first; smaller
@@ -126,11 +131,16 @@ class PipelineReport:
 
 
 def _kept(frames: Iterable[Frame], config: MotionConfig) -> Iterator:
-    """The analysis fold: every outcome that is not a drop, in order."""
-    state = AnalysisState()
+    """The analysis fold: every outcome that is not a drop, in order.  A
+    record the sidecar could not hold raises the sidecar's error before
+    its outcome is yielded, so neither sink receives its frame."""
+    state, previous_input = AnalysisState(), -1
     for frame in frames:
         outcome, state = analyse(state, config, frame)
-        if outcome.record is not None:
+        if (record := outcome.record) is not None:
+            previous_input = _checked_record(
+                record, previous_input, record.output_frame
+            ).input_frame
             yield outcome
 
 
@@ -152,21 +162,23 @@ def run_pipeline(
 
     ``video_sink`` needs a write_frame(frame) method, ``sidecar_sink`` a
     write_row(record) method; neither is closed here, the caller owns both.
-    Raises the first stage error as raised; sinks may then hold a prefix of
-    the output (whole frames and whole rows only, never a torn record).
+    Raises the first stage error as raised.  The sinks then hold the output
+    of every frame before the one that failed, or, if a sink failed, a
+    prefix of it (whole frames and whole rows only, never a torn record).
+    A frame whose sidecar row the sidecar could not hold, such as an
+    ``index`` that does not rise, fails before either sink receives it.
     On an interrupt, such as Ctrl-C, the interrupt is re-raised without
     waiting for a stage inside ``source`` or a sink: only the caller, by
     aborting them, can free such a stage.
     """
 
-    def emit(outcome) -> None:
+    def emit(_position: int, outcome) -> None:
         video_sink.write_frame(outcome.frame)
         sidecar_sink.write_row(outcome.record)
 
     started = time.monotonic()
     frames_in, frames_out = _run_stages(
-        source, [("analysis", lambda frames: _kept(frames, config))], emit,
-        QUEUE_CAPACITY,
+        source, emit, QUEUE_CAPACITY, lambda frames: _kept(frames, config)
     )
     wall_time = max(time.monotonic() - started, 1e-9)
     return PipelineReport(frames_in, frames_out, wall_time)
@@ -174,27 +186,30 @@ def run_pipeline(
 
 def _run_stages(
     source: Iterable,
-    folds: Sequence[tuple[str, Callable[[Iterator], Iterator]]],
-    emit: Callable[[object], None],
+    emit: Callable[[int, object], None],
     queue_capacity: int,
+    analysis: Callable[[Iterator], Iterator] | None = None,
 ) -> tuple[int, int]:
-    """Run ``source`` through each ``(name, fold)`` in turn into ``emit``,
-    one thread per stage.
+    """Run ``source``, through ``analysis`` if given, into ``emit``, one
+    thread per stage.
 
-    The ``read`` stage iterates ``source``, each fold's stage maps the
-    items of the _Link before it to the items of its own, and the
-    ``write`` stage calls ``emit`` on each item of the last link, in order.
-    Each link holds at most ``queue_capacity`` items, and a stage pulls its
+    The ``read`` stage iterates ``source``; the ``analysis`` stage, if
+    there is one, maps the items of the _Link before it to the items of
+    its own; and the ``write`` stage calls ``emit(position, item)`` on each
+    item of the last link, in order, ``position`` counting from 0.  Each
+    link holds at most ``queue_capacity`` items, and a stage pulls its
     next item only once the link it feeds has room.  Iterating ``source``
     and calling ``emit`` count as the caller's code.
 
     Returns the items read and the items written; once every stage has
-    stopped, the first error of any stage is raised as it was raised.  On
-    an interrupt, such as Ctrl-C, the interrupt is re-raised without
-    waiting for a stage inside the caller's code.
+    stopped, the first error of any stage is raised as it was raised.  A
+    failed stage cancels the stages before it, and those after it first
+    hand on every item it gave them.  On an interrupt, such as Ctrl-C,
+    the interrupt is re-raised without waiting for a stage inside the
+    caller's code.
     """
     stop = threading.Event()
-    links = [_Link(queue_capacity) for _ in range(len(folds) + 1)]
+    links = [_Link(queue_capacity) for _ in range(1 if analysis is None else 2)]
     failure_lock = threading.Lock()
     failures: list[BaseException] = []
     results: dict[str, int] = {}
@@ -206,16 +221,23 @@ def _run_stages(
         for link in links:
             link.cancel()
 
-    def fail(exc: BaseException) -> None:
+    def fail(exc: BaseException, feeds: _Link | None) -> None:
+        """Keep ``exc`` if it is the run's first error, cancel the links
+        before the stage that raised it and end ``feeds``, the link that
+        stage feeds, as end of input does: the stages after it still hand
+        on every item they were given."""
         with failure_lock:
             if not failures:
                 failures.append(exc)
-        cancel()
+        for link in links if feeds is None else links[:links.index(feeds)]:
+            link.cancel()
+        if feeds is not None:
+            feeds.put(_SENTINEL)
 
     def caller(name: str, call, *args):
         """``call(*args)``, a call into the caller's source or sinks, made
-        only while the run is live; stage ``name`` is marked as inside the
-        caller's code until it returns."""
+        only until the run is interrupted; stage ``name`` is marked as
+        inside the caller's code until it returns."""
         in_caller.add(name)
         try:
             if stop.is_set():
@@ -247,12 +269,14 @@ def _run_stages(
             count += 1
 
     def write(items) -> int:
-        count = 0
-        for count, item in enumerate(items, 1):
-            caller("write", emit, item)
-        return count
+        position = -1
+        for position, item in enumerate(items):
+            caller("write", emit, position, item)
+        return position + 1
 
-    def stage(name: str, body, *args) -> None:
+    def stage(name: str, items: Iterator, feeds: _Link | None = None) -> None:
+        """Start stage ``name``, which puts ``items`` on ``feeds`` or, with
+        no link to feed, writes them."""
         # The event, not Thread.join, tells when a stage is over: on
         # CPython 3.11 a join interrupted by Ctrl-C marks the thread
         # stopped while it still runs.
@@ -260,11 +284,11 @@ def _run_stages(
 
         def run() -> None:
             try:
-                results[name] = body(*args)
+                results[name] = write(items) if feeds is None else pump(items, feeds)
             except _Cancelled:
                 pass
             except BaseException as exc:
-                fail(exc)
+                fail(exc, feeds)
             finally:
                 done.set()
 
@@ -272,10 +296,10 @@ def _run_stages(
         finished[name] = done
 
     try:
-        stage("read", pump, pull(source), links[0])
-        for (name, fold), before, after in zip(folds, links, links[1:]):
-            stage(name, pump, fold(drain(before)), after)
-        stage("write", write, drain(links[-1]))
+        stage("read", pull(source), links[0])
+        if analysis is not None:
+            stage("analysis", analysis(drain(links[0])), links[1])
+        stage("write", drain(links[-1]))
         for done in finished.values():
             done.wait()
     except BaseException:

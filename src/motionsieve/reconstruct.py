@@ -18,7 +18,6 @@ is never darker than the motion frame.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -155,13 +154,8 @@ def _write_playback(
             _Sink(open(align_partial, "w", encoding="utf-8", newline=""))
         )
         align._write("position,input_frame\n")
-        # Positions are counted on the write side: an enumerate() on the
-        # read side would keep a third rebuilt position alive in its cached
-        # result tuple.
-        positions = itertools.count()
 
-        def emit(rebuilt: RebuiltFrame) -> None:
-            position = next(positions)
+        def emit(position: int, rebuilt: RebuiltFrame) -> None:
             dl_writer.write_frame(rebuilt.color)
             fgbg_writer.write_frame(
                 Frame(
@@ -177,4 +171,4 @@ def _write_playback(
         # One queued position, so at most two are held at once: the one
         # being written and the one queued.  Each holds a color frame and a
         # gray one, 5.2 MB at 1080p YUV420, so every deeper slot costs that.
-        _run_stages(reconstruct_stream(frames, records), (), emit, 1)
+        _run_stages(reconstruct_stream(frames, records), emit, 1)

@@ -50,11 +50,7 @@ class SidecarWriter(_Sink):
         self._write(",".join(FIELDNAMES) + "\n")
 
     def write_row(self, record: SidecarRecord) -> None:
-        fields = record.input_frame, record.output_frame, int(record.full_frame)
-        row = _checked_row(
-            self._written + 1, [str(field) for field in fields],
-            self._previous_input, self._written,
-        )
+        row = _checked_record(record, self._previous_input, self._written)
         self._write(f"{row.input_frame},{row.output_frame},{int(row.full_frame)}\n")
         self._previous_input, self._written = row.input_frame, self._written + 1
 
@@ -141,6 +137,19 @@ def _checked_row(
             f"row {row_number}: output_frame {output_frame}, expected {output}"
         )
     return SidecarRecord(input_frame, output_frame, bool(flag))
+
+
+def _checked_record(
+    record: SidecarRecord, previous_input: int, output: int
+) -> SidecarRecord:
+    """The record that ``_checked_row`` reads from the fields ``record``
+    would be written as, at row ``output + 1`` after a row whose input was
+    ``previous_input``: a record that ``read_sidecar`` could not read back
+    raises the error the reader would raise."""
+    fields = record.input_frame, record.output_frame, int(record.full_frame)
+    return _checked_row(
+        output + 1, [str(field) for field in fields], previous_input, output
+    )
 
 
 def _bounded_lines(stream: IO[str]) -> Iterator[str]:

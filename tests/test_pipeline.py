@@ -141,16 +141,22 @@ def test_pipeline_refuses_frame_indices_its_sidecar_could_not_hold(
     index, error, message, written
 ):
     """Library frames whose ``index`` is not a strictly increasing count
-    from 0 stop the run with the error read_sidecar would raise on the
-    row, and the sidecar holds only the rows before it."""
+    from 0 stop the run, and reference_compress, with the error
+    read_sidecar would raise on the row.  Neither sink receives the
+    refused frame: the video holds a frame for each row of the sidecar,
+    which holds only the rows before it."""
     header = StreamHeader(40, 32, 30, 1, PixelFormat.GRAY8)
     frames = [gray_frame(luma, index) for luma in moving_square_luma(40, 32, 6)]
-    sidecar = io.StringIO()
     with pytest.raises(error, match=f"^{message}$"):
-        run_pipeline(frames, MotionConfig(), Y4MWriter(io.BytesIO(), header),
+        reference_compress(frames, MotionConfig())
+    video, sidecar = io.BytesIO(), io.StringIO()
+    with pytest.raises(error, match=f"^{message}$"):
+        run_pipeline(frames, MotionConfig(), Y4MWriter(video, header),
                      SidecarWriter(sidecar))
     rows = read_sidecar(io.StringIO(sidecar.getvalue()))
     assert [row.input_frame for row in rows] == written
+    reader = Y4MReader(io.BytesIO(video.getvalue()))
+    assert len(list(reader)) == len(rows)
 
 
 def test_failing_source_raises_its_own_error():
@@ -634,7 +640,9 @@ def test_injected_fault_stops_the_run_at_a_whole_prefix(
     """A failure raised at any call of the source or a stage fails the run
     with that very error, leaves outputs that are a prefix of
     the reference, with the frame written before its row, and leaves no
-    stage thread running.  A failure never reached changes nothing."""
+    stage thread running.  A failure in the source or in analysis leaves
+    exactly the output of the frames before it.  A failure never reached
+    changes nothing."""
     error = error_type("injected")
     fired = []
     video = io.BytesIO()
@@ -672,6 +680,10 @@ def test_injected_fault_stops_the_run_at_a_whole_prefix(
     if not fired:
         assert (got_video, got_sidecar) == (_FAULT_VIDEO, _FAULT_SIDECAR)
         return
+    if site in ("next", "analyse"):
+        assert (got_video, got_sidecar) == render_reference(
+            _FAULT_HEADER, _FAULT_FRAMES[:call - 1], VARIED_CONFIG
+        )
     header_bytes = len(serialize_y4m_header(_FAULT_HEADER))
     frame_bytes = len(b"FRAME\n") + _FAULT_HEADER.frame_size()
     frames, torn = divmod(len(got_video) - header_bytes, frame_bytes)
@@ -699,6 +711,10 @@ _REBUILT_VIDEO = frames_to_y4m(
 _ALIGN = "position,input_frame\n" + "".join(
     f"{position},{row.input_frame}\n" for position, row in enumerate(_STORED_ROWS)
 )
+# The positions of the masked rows, the ones rebuilt with the kernels.
+_MASKED_POSITIONS = [
+    position for position, row in enumerate(_STORED_ROWS) if not row.full_frame
+]
 
 
 class _FailingWrites:
@@ -733,8 +749,9 @@ def test_injected_fault_stops_reconstruct_at_a_whole_prefix(site, call, error_ty
     error, except that an OSError or ValueError in an .align.csv write
     becomes SinkUnavailable, as in a Y4M write.  It leaves only *.partial
     files, with the pass-through stream a whole-frame prefix of the stored
-    video, and leaves no stage thread running.  A failure never reached
-    changes nothing."""
+    video, and leaves no stage thread running.  A failure in the source or
+    a kernel leaves all three files holding exactly the positions before
+    the one that failed.  A failure never reached changes nothing."""
     error = error_type("injected")
     fired = []
     source = iter(_STORED)
@@ -796,6 +813,28 @@ def test_injected_fault_stops_reconstruct_at_a_whole_prefix(site, call, error_ty
             assert got == [_STORED_VIDEO, _REBUILT_VIDEO, _ALIGN.encode()]
             return
         _assert_stored_prefix_left(out, prefix)
+        if site == "next":
+            _assert_positions_left(prefix, call - 1)
+        elif site in ("env_frame", "rec_frame"):
+            # A 16x16 position is rebuilt in one band: one call a position.
+            _assert_positions_left(prefix, _MASKED_POSITIONS[call - 1])
+
+
+def _assert_positions_left(prefix, count):
+    """The three *.partial files at ``prefix`` hold exactly the first
+    ``count`` positions of the whole outputs."""
+    frames = len(b"FRAME\n") + _STORED_HEADER.frame_size()
+    rebuilt = len(b"FRAME\n") + _REBUILT_HEADER.frame_size()
+    expected = [
+        _STORED_VIDEO[:len(serialize_y4m_header(_STORED_HEADER)) + count * frames],
+        _REBUILT_VIDEO[:len(serialize_y4m_header(_REBUILT_HEADER)) + count * rebuilt],
+        "".join(_ALIGN.splitlines(keepends=True)[:count + 1]).encode(),
+    ]
+    got = []
+    for suffix in (".dl.y4m", ".fgbg.y4m", ".align.csv"):
+        with open(prefix + suffix + ".partial", "rb") as fh:
+            got.append(fh.read())
+    assert got == expected
 
 
 def _assert_stored_prefix_left(out, prefix):
@@ -828,7 +867,8 @@ def test_fault_in_a_middle_band_stops_reconstruct_at_a_whole_prefix(
     It leaves only *.partial files, with the pass-through stream a
     whole-frame prefix of the stored video and the rebuilt stream one of
     the rebuilt video, so no half-built frame is written, and leaves no
-    stage thread running."""
+    stage thread running.  The three files hold exactly the positions
+    before the failed one."""
     error = error_type("injected")
     fired = []
     kernel = env_frame if site == "env_frame" else rec_frame
@@ -849,6 +889,7 @@ def test_fault_in_a_middle_band_stops_reconstruct_at_a_whole_prefix(
         assert fired == [error]
         _assert_no_stage_thread()
         _assert_stored_prefix_left(out, prefix)
+        _assert_positions_left(prefix, _MASKED_POSITIONS[masked])
         with open(prefix + ".fgbg.y4m.partial", "rb") as fh:
             rebuilt = fh.read()
     header_bytes = len(serialize_y4m_header(_REBUILT_HEADER))
