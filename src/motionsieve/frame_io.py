@@ -197,15 +197,15 @@ def parse_y4m_header(stream: BinaryIO) -> StreamHeader:
             raise MalformedHeader(f"tag {raw!r} holds a non-ASCII byte")
         key, value = token[0], token[1:]
         if key == "W":
-            width = _parse_positive(value, "W")
+            width = _parse_tag(value, "W")
         elif key == "H":
-            height = _parse_positive(value, "H")
+            height = _parse_tag(value, "H")
         elif key == "F":
             num, sep, den = value.partition(":")
             if not sep:
                 raise MalformedHeader(f"bad F tag {token!r}")
-            fps_num = _parse_positive(num, "F")
-            fps_den = _parse_positive(den, "F")
+            fps_num = _parse_tag(num, "F")
+            fps_den = _parse_tag(den, "F")
         elif key == "C":
             colorspace = value
         else:
@@ -230,14 +230,21 @@ def parse_y4m_header(stream: BinaryIO) -> StreamHeader:
         raise MalformedHeader(str(exc)) from None
 
 
-def _parse_positive(text: str, tag: str) -> int:
+def _parse_tag(text: str, tag: str) -> int:
+    """A tag's integer value; StreamHeader refuses one below 1."""
     try:
-        value = int(text)
+        return _parse_int(text)
     except ValueError:
         raise MalformedHeader(f"bad {tag} tag value {text!r}") from None
-    if value < 1:
-        raise MalformedHeader(f"bad {tag} tag value {text!r}")
-    return value
+
+
+def _parse_int(text: str) -> int:
+    """``text`` as an integer, which must be ASCII digits with an optional
+    leading "-"; ValueError otherwise.  int() alone would also take "+",
+    "_", surrounding whitespace and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def serialize_y4m_header(header: StreamHeader) -> bytes:
@@ -268,11 +275,12 @@ class _Stream:
     """Owns a stream and ends it one way.  A ``with`` block closes it when
     the block succeeds and aborts it when the block raises, so the block's
     error is the one that leaves.  close() finishes the stream (a writer
-    flushes) and runs ``_end(kill=False)``, but aborts and re-raises when
-    finishing fails: a second flush into a codec child that stalled without
-    reading would block.  abort() runs ``_end(kill=True)`` and lets no
-    Exception out.  A failed start, such as a Y4M header read or write,
-    aborts too."""
+    flushes) and runs ``_end(kill=False)``.  abort() runs ``_end(kill=True)``
+    and lets no Exception out.  Each step taken on the stream itself (the
+    start, such as a Y4M header read or write, a frame read, a write, a
+    flush and close()'s finish) runs through ``_or_abort``, so a step that
+    fails ends the stream before its error leaves: a second flush into a
+    codec child that stalled without reading would block."""
 
     def __init__(self, stream, *args):
         self._stream = stream
@@ -297,11 +305,16 @@ class _Stream:
         except Exception:
             pass
 
-    def _or_abort(self, step, *args) -> None:
+    def _or_abort(self, step, *args):
+        """``step(*args)``, aborting after ``_failed`` hears its error."""
         try:
-            step(*args)
-        except BaseException:
-            self.abort()
+            return step(*args)
+        except BaseException as exc:
+            try:
+                if isinstance(exc, MotionSieveError):
+                    self._failed(exc)
+            finally:
+                self.abort()
             raise
 
     def _start(self) -> None:
@@ -310,15 +323,20 @@ class _Stream:
     def _finish(self) -> None:
         """Write out what is buffered; nothing by default."""
 
+    def _failed(self, exc: MotionSieveError) -> None:
+        """Hear a step's MotionSieveError before the abort; nothing by default."""
+
     def _end(self, kill: bool) -> None:
         """Let go of the stream; a plain stream has nothing to kill."""
         self._stream.close()
 
 
-class _FrameReader(_Stream):
-    """Sequential frame source over a binary stream.  Subclasses frame the
-    stream in ``_payload``, which returns the next payload as read or None
-    at end of stream; ``read`` checks its size and numbers the frames."""
+class RawReader(_Stream):
+    """Sequential frame reader over a binary stream, by default headerless
+    frame payloads back to back, framed by the header the caller supplies.
+    A subclass frames the stream in ``_payload``, which returns the next
+    payload as read or None at end of stream; ``read`` checks its size and
+    numbers the frames from 0."""
 
     def _start(self, header: StreamHeader) -> None:
         self.header = header
@@ -326,6 +344,9 @@ class _FrameReader(_Stream):
 
     def read(self) -> Frame | None:
         """Next frame, or None at end of stream."""
+        return self._or_abort(self._next_frame)
+
+    def _next_frame(self) -> Frame | None:
         data = self._payload()
         if data is None:
             return None
@@ -342,12 +363,15 @@ class _FrameReader(_Stream):
         self._next_index += 1
         return frame
 
+    def _payload(self) -> bytes | None:
+        return _read_exact(self._stream, self.header.frame_size()) or None
+
     def __iter__(self) -> Iterator[Frame]:
         while (frame := self.read()) is not None:
             yield frame
 
 
-class Y4MReader(_FrameReader):
+class Y4MReader(RawReader):
     """Sequential frame reader over a binary Y4M stream.
 
     The header is parsed eagerly at construction; frames are then yielded
@@ -389,14 +413,14 @@ class _Sink(_Stream):
     """A writer's stream, binary or text.  Every write and flush goes
     through ``_guarded``: an OSError or ValueError, such as a full disk or
     a closed file, becomes SinkUnavailable, and a BrokenPipeError goes to
-    ``_broken_pipe``, which lets it reach the caller unchanged.  close()
-    flushes the same way before it ends the stream."""
+    ``_broken_pipe``, which lets it reach the caller unchanged.  A start
+    and ``_finish``, run through ``_or_abort`` already, use it directly."""
 
     def flush(self) -> None:
-        self._guarded(self._stream.flush)
+        self._or_abort(self._finish)
 
     def _write(self, data) -> None:
-        self._guarded(self._stream.write, data)
+        self._or_abort(self._guarded, self._stream.write, data)
 
     def _guarded(self, call, *args) -> None:
         try:
@@ -410,7 +434,7 @@ class _Sink(_Stream):
         raise exc
 
     def _finish(self) -> None:
-        self.flush()
+        self._guarded(self._stream.flush)
 
 
 class Y4MWriter(_Sink):
@@ -419,7 +443,7 @@ class Y4MWriter(_Sink):
 
     def _start(self, header: StreamHeader) -> None:
         self.header = header
-        self._write(serialize_y4m_header(header))
+        self._guarded(self._stream.write, serialize_y4m_header(header))
 
     def write_frame(self, frame: Frame) -> None:
         header = self.header
@@ -438,16 +462,6 @@ def check_geometry(frame: Frame, stream: tuple[int, int, PixelFormat]) -> None:
             f"{frame.pixel_format.value}, stream is {width}x{height} "
             f"{pixel_format.value}"
         )
-
-
-class RawReader(_FrameReader):
-    """Reader for headerless files of concatenated frame payloads.
-
-    The caller supplies the header; payload size and framing follow from it.
-    """
-
-    def _payload(self) -> bytes | None:
-        return _read_exact(self._stream, self.header.frame_size()) or None
 
 
 def count_y4m_frames(path) -> int:
@@ -543,12 +557,13 @@ class _CodecChild(_Stream):
     Listed before a Y4M reader or writer class, it makes that class's
     stream the child's pipe, over which the reader or writer is built
     here.  The child's stderr is drained so it can never block.  close()
-    waits for the child and raises NonZeroExit, carrying the stderr tail,
-    on a nonzero status; abort() kills it without caring about its
+    waits for the child, and so does a failed step of the stream, such as
+    a header that does not parse or a frame cut short, through ``_failed``
+    for up to ``_GRACE_SECONDS``: a nonzero status raises NonZeroExit,
+    carrying the stderr tail.  abort() kills it without caring about its
     status.  The child leads a process group of its own, which either
     way is killed once the child has exited, so nothing a shell command
-    forked, instead of exec'ing, outlives it.
-    """
+    forked, instead of exec'ing, outlives it."""
 
     _role = ""
 
@@ -571,14 +586,8 @@ class _CodecChild(_Stream):
         self._stderr = _StderrDrain(self._proc.stderr)
         super().__init__(self._pipe, *args)
 
-    def _start(self, *args) -> None:
-        try:
-            super()._start(*args)
-        except MotionSieveError as exc:
-            # The stream never started; the child's own failure is the
-            # better diagnostic when it exited nonzero.
-            self._end(kill=False, cause=exc)
-            raise
+    def _failed(self, exc: MotionSieveError) -> None:
+        self._end(kill=False, cause=exc)
 
     def _end(self, kill: bool, cause: BaseException | None = None) -> None:
         """End the child: kill its process group first when ``kill`` is
@@ -641,8 +650,8 @@ class CodecDecoder(_CodecChild, Y4MReader):
     """A Y4MReader over the stdout of an external decode command.
 
     The command template names the compressed file via ``{input}`` and must
-    emit Y4M on stdout.  The child's exit status is checked in close(); a
-    nonzero status raises NonZeroExit carrying the stderr tail.
+    emit Y4M on stdout.  close() and a failed read check the child's exit
+    status: a nonzero one raises NonZeroExit, in place of a read's error.
     """
 
     _role = "decode"
@@ -653,13 +662,11 @@ class CodecEncoder(_CodecChild, Y4MWriter):
 
     The command template names the compressed output file via ``{output}``
     and must read Y4M from stdin.  An encoder that stops reading raises
-    BrokenPipe (or NonZeroExit when it already failed), in a write or in
-    the flush of close(); close() then waits for the child and checks its
-    status.
+    BrokenPipe, or NonZeroExit when it exited nonzero, from a write or a
+    flush, close()'s included.
     """
 
     _role = "encode"
 
     def _broken_pipe(self, exc: BrokenPipeError) -> None:
-        self._end(kill=False, cause=exc)
         raise BrokenPipe("encode command closed its input early") from exc

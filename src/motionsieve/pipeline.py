@@ -161,7 +161,8 @@ def run_pipeline(
     """Compress ``source`` into ``video_sink`` + ``sidecar_sink``.
 
     ``video_sink`` needs a write_frame(frame) method, ``sidecar_sink`` a
-    write_row(record) method; neither is closed here, the caller owns both.
+    write_row(record) method; neither is closed here, the caller owns both,
+    though a writer whose own write fails ends its stream, as every one does.
     Raises the first stage error as raised.  The sinks then hold the output
     of every frame before the one that failed, or, if a sink failed, a
     prefix of it (whole frames and whole rows only, never a torn record).

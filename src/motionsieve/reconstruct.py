@@ -126,7 +126,9 @@ def reconstruct_files(
     paths.  Each is written as ``*.partial`` and renamed into place only
     after the whole stream succeeded, so a failed run leaves only
     ``*.partial`` files.  Any error is raised as it was raised, and a write
-    the disk refuses raises SinkUnavailable.  Nothing passed in is closed.
+    the disk refuses raises SinkUnavailable.  Nothing passed in is closed,
+    though a reader passed as ``frames`` ends its own stream when one of
+    its reads fails, as every reader does.
     """
     paths = tuple(out_prefix + suffix for suffix in OUTPUT_SUFFIXES)
     with committed(paths) as partials:

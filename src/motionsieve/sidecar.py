@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .errors import MalformedRow, NonMonotonicIndex
-from .frame_io import _MAX_LINE, _Sink
+from .frame_io import _MAX_LINE, _Sink, _parse_int
 
 FIELDNAMES = ("input_frame", "output_frame", "full_frame")
 # Longest field accepted: a frame position needs at most 20 digits, and a
-# longer field is refused by length before int() parses it.
+# longer field is refused by length before it is parsed.
 _MAX_FIELD = 32
 
 
@@ -47,7 +47,7 @@ class SidecarWriter(_Sink):
 
     def _start(self) -> None:
         self._previous_input, self._written = -1, 0
-        self._write(",".join(FIELDNAMES) + "\n")
+        self._guarded(self._stream.write, ",".join(FIELDNAMES) + "\n")
 
     def write_row(self, record: SidecarRecord) -> None:
         row = _checked_record(record, self._previous_input, self._written)
@@ -108,11 +108,11 @@ def _checked_row(
     row_number: int, row: list[str], previous_input: int, output: int
 ) -> SidecarRecord:
     """The record that a row's text fields give, once they pass the schema
-    (three fields, each an integer of at most ``_MAX_FIELD`` characters,
-    the flag 0 or 1, the input not negative) and follow a row whose input
-    was ``previous_input`` (-1 for the first) at output position
-    ``output``.  Raises MalformedRow or NonMonotonicIndex naming
-    ``row_number``."""
+    (three fields, each at most ``_MAX_FIELD`` characters of ASCII digits
+    with an optional leading "-", the flag 0 or 1, the input not negative)
+    and follow a row whose input was ``previous_input`` (-1 for the first)
+    at output position ``output``.  Raises MalformedRow or
+    NonMonotonicIndex naming ``row_number``."""
     if len(row) != 3:
         raise MalformedRow(f"row {row_number}: expected 3 fields, got {len(row)}")
     for name, field in zip(FIELDNAMES, row):
@@ -121,7 +121,7 @@ def _checked_row(
                 f"row {row_number}: {name} is too long ({len(field)} characters)"
             )
     try:
-        input_frame, output_frame, flag = (int(field) for field in row)
+        input_frame, output_frame, flag = (_parse_int(field) for field in row)
     except ValueError:
         raise MalformedRow(f"row {row_number}: non-integer field") from None
     if flag not in (0, 1):

@@ -1559,6 +1559,60 @@ def test_reconstruct_decoder_failure_after_stream_leaves_partials(tmp_path):
         assert not os.path.exists(rebuilt + suffix)
 
 
+def _dying_decoder(tmp_path, tail, status, stderr):
+    """A decode command template whose script writes a 4x4 GRAY8 header
+    and one whole frame, then ``tail``, prints ``stderr`` and exits with
+    ``status``."""
+    script = tmp_path / "dying_decoder.py"
+    script.write_text(
+        "import sys\n"
+        "out = sys.stdout.buffer\n"
+        "out.write(b'YUV4MPEG2 W4 H4 F30:1 Cmono\\nFRAME\\n' + bytes(16))\n"
+        f"out.write({tail!r})\n"
+        "out.flush()\n"
+        f"sys.stderr.write({stderr!r})\n"
+        f"sys.exit({status})\n"
+    )
+    return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{input}}"
+
+
+@pytest.mark.parametrize("command", ["compress", "reconstruct"])
+@pytest.mark.parametrize(
+    "tail, status, stderr, message",
+    [
+        (b"FRAME\n" + bytes(10), 9, "bitstream damaged\n",
+         "NonZeroExit: decode command exited with status 9: bitstream damaged"),
+        (b"FRA", 137, "", "NonZeroExit: decode command exited with status 137"),
+        (b"FRAME\n" + bytes(10), 0, "",
+         "TruncatedFrame: frame payload is 10 of 16 bytes"),
+    ],
+    ids=["cut-payload-exit-9", "cut-marker-exit-137", "cut-payload-exit-0"],
+)
+def test_a_decoder_that_dies_mid_frame_reports_its_exit(
+    tmp_path, command, tail, status, stderr, message
+):
+    """A decoder that dies mid-frame, as one the OOM killer ends does, is
+    reported by its exit status and stderr tail, not by the frame it cut
+    short; one that exits 0 on a cut stream reports the cut frame.  Either
+    way the run prints one error line and leaves only *.partial files."""
+    source = tmp_path / "clip.enc"
+    source.write_bytes(b"")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args = [command, "--input", str(source), "--output", str(out_dir / "o"),
+            "--decode-cmd", _dying_decoder(tmp_path, tail, status, stderr)]
+    if command == "reconstruct":
+        sidecar = tmp_path / "clip.csv"
+        sidecar.write_text("input_frame,output_frame,full_frame\n0,0,1\n1,1,0\n")
+        args += ["--sidecar", str(sidecar)]
+    code, out, err = run_cli(args)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    left = os.listdir(out_dir)
+    assert left and all(name.endswith(".partial") for name in left), left
+
+
 def test_reconstruct_malformed_last_row_fails_mid_run(tmp_path):
     """The sidecar is read one row at a time as frames are rebuilt, so a
     malformed last row fails the run after the rows before it were

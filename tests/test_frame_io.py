@@ -112,6 +112,14 @@ def test_parse_header_preserves_unknown_tags():
         "YUV4MPEG2 W4 H4 F30\n",
         "YUV4MPEG2 W4 H4 F0:1\n",
         "YUV4MPEG2 W5 H4 C420\n",
+        # A value is digits and at least 1: int() would also read an
+        # underscore and a "+".
+        "YUV4MPEG2 W8_0 H4\n",
+        "YUV4MPEG2 W4 H+4\n",
+        "YUV4MPEG2 W4 H4 F30_0:1\n",
+        "YUV4MPEG2 W4 H4 F30:1_0\n",
+        "YUV4MPEG2 W-4 H4\n",
+        "YUV4MPEG2 W4 H4 F30:-1\n",
     ],
 )
 def test_parse_header_malformed(text):
@@ -356,6 +364,7 @@ class _FaultySink:
         self.data = bytearray()
         self.write_error = write_error
         self.flush_error = flush_error
+        self.closed = False
 
     def write(self, data):
         if self.data and self.write_error is not None:
@@ -367,18 +376,25 @@ class _FaultySink:
         if self.flush_error is not None:
             raise self.flush_error
 
+    def close(self):
+        self.closed = True
+
 
 @pytest.mark.parametrize("failing", ["write", "flush"])
 def test_y4m_writer_reports_a_full_disk_as_sink_unavailable(failing):
+    """A write or flush the disk refuses raises SinkUnavailable, and the
+    writer has ended its stream before the error leaves."""
     header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
     full = OSError(errno.ENOSPC, "No space left on device")
-    writer = Y4MWriter(_FaultySink(**{f"{failing}_error": full}), header)
+    sink = _FaultySink(**{f"{failing}_error": full})
+    writer = Y4MWriter(sink, header)
     with pytest.raises(SinkUnavailable) as excinfo:
         if failing == "write":
             writer.write_frame(gray_frame(np.zeros((4, 4), np.uint8)))
         else:
             writer.flush()
     assert excinfo.value.__cause__ is full
+    assert sink.closed
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="/dev/full is absent")
@@ -396,6 +412,16 @@ def test_y4m_writer_close_releases_its_stream_when_the_flush_fails():
     finally:
         if not stream.closed:
             stream.raw.close()
+
+
+def test_a_reader_whose_frame_read_fails_ends_its_stream():
+    """A failed frame read ends a plain reader's stream before the error
+    leaves, as a failed header read does."""
+    stream = io.BytesIO(b"YUV4MPEG2 W4 H4 Cmono\nFRAME\n" + bytes(10))
+    reader = Y4MReader(stream)
+    with pytest.raises(TruncatedFrame, match="frame payload is 10 of 16 bytes"):
+        reader.read()
+    assert stream.closed
 
 
 def test_y4m_writer_lets_a_broken_pipe_through():
@@ -705,6 +731,33 @@ def test_codec_decoder_failure_surfaces_on_close(tmp_path):
     with pytest.raises(NonZeroExit) as excinfo:
         decoder.close()
     assert "bitstream damaged" in str(excinfo.value)
+
+
+def test_codec_decoder_that_dies_mid_frame_reports_its_exit(tmp_path):
+    """A decoder that exits nonzero after cutting a frame short makes that
+    read raise NonZeroExit, chained to the cut frame's TruncatedFrame, and
+    the child is reaped before the error leaves."""
+    script = tmp_path / "dying_decoder.py"
+    script.write_text(
+        "import sys\n"
+        "sys.stdout.write('YUV4MPEG2 W4 H4 F30:1 Cmono\\n')\n"
+        "sys.stdout.write('FRAME\\n' + 'a' * 16 + 'FRAME\\n' + 'b' * 10)\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write('bitstream damaged\\n')\n"
+        "sys.exit(9)\n"
+    )
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"data")
+    template = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{input}}"
+    decoder = CodecDecoder(template, path)
+    assert decoder.read() is not None
+    with pytest.raises(NonZeroExit) as excinfo:
+        decoder.read()
+    assert str(excinfo.value) == (
+        "decode command exited with status 9: bitstream damaged"
+    )
+    assert isinstance(excinfo.value.__cause__, TruncatedFrame)
+    assert decoder._proc.returncode == 9
 
 
 def test_codec_encoder_nonzero_exit_on_close(tmp_path):

@@ -4,17 +4,21 @@ rows that pass its own checks, or raises a MotionSieveError, and through
 
 The inputs are small valid GRAY8, 4:2:0 and 4:4:4 Y4M clips, their raw
 payloads and a sidecar text, mutated by byte flips, inserted bytes, cut
-runs and truncation.  The codec pipes are not fuzzed here.
+runs and truncation.  A mutated clip is also read through a decode
+command's pipe.
 """
 
 import io
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from motionsieve import (
+    CodecDecoder,
     MotionConfig,
     MotionSieveError,
     PixelFormat,
@@ -110,6 +114,47 @@ def test_a_mutated_y4m_clip_reads_as_frames_that_write_back(data):
     with Y4MReader(io.BytesIO(sink.getvalue())) as reader:
         assert reader.header == header
         assert list(reader) == frames
+
+
+class _SeenDecoder(CodecDecoder):
+    """A CodecDecoder that keeps itself in ``seen`` once its child runs,
+    so a test can reach a child whose constructor raised."""
+
+    seen: list = []
+
+    def _start(self) -> None:
+        self.seen.append(self)
+        super()._start()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.sampled_from(list(PixelFormat)).flatmap(
+    lambda pixel_format: mutated(_CLIPS[pixel_format][2])
+))
+def test_a_mutated_y4m_clip_reads_through_a_decode_command(data):
+    """CodecDecoder over ``cat`` yields the frames and raises the error that
+    Y4MReader gives on the same bytes in memory, so only frames of its own
+    header or a MotionSieveError.  Once the ``with`` block is left, the
+    child is reaped and its process group is gone."""
+    _SeenDecoder.seen.clear()
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "clip.y4m")
+        with open(path, "wb") as clip:
+            clip.write(data)
+        header, frames, error = _read_until_error(
+            lambda: _SeenDecoder("cat {input}", path)
+        )
+    want_header, want_frames, want_error = _read_until_error(
+        lambda: Y4MReader(io.BytesIO(data))
+    )
+    assert (header, frames) == (want_header, want_frames)
+    assert type(error) is type(want_error), (error, want_error)
+    if header is not None:
+        _assert_frames_fit(header, frames)
+    [decoder] = _SeenDecoder.seen
+    assert decoder._proc.returncode == 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(decoder._proc.pid, 0)
 
 
 @settings(max_examples=200)

@@ -129,10 +129,21 @@ def test_read_rejects_wrong_field_count():
         read_sidecar(io.StringIO(HEADER + "0,0,1,9\n"))
 
 
-@pytest.mark.parametrize("row", ["a,0,1", "0,b,1", "0,0,x", "0,0,3", "0,0,-1"])
+@pytest.mark.parametrize(
+    "row",
+    ["a,0,1", "0,b,1", "0,0,x", "0,0,3", "0,0,-1", "-,0,1", ",0,1",
+     # A field is ASCII digits with an optional leading "-": int() would
+     # read these as 10, 5, 12, 1 and 1.
+     "1_0,0,1", "+5,0,1", " 12 ,0,1", "0,\u0661,1", "0,0,+1"],
+)
 def test_read_rejects_bad_values(row):
     with pytest.raises(MalformedRow):
         read_sidecar(io.StringIO(HEADER + row + "\n"))
+
+
+def test_read_names_a_negative_input_frame():
+    with pytest.raises(MalformedRow, match="^row 1: negative input_frame$"):
+        read_sidecar(io.StringIO(HEADER + "-3,0,1\n"))
 
 
 @pytest.mark.parametrize("column, name", [(0, "input_frame"), (1, "output_frame")])
