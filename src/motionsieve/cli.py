@@ -11,6 +11,7 @@ the JSON report goes to PATH, or with ``-`` stdout carries the JSON alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import os
@@ -32,6 +33,7 @@ from .frame_io import (
     StreamHeader,
     Y4MReader,
     Y4MWriter,
+    _parse_int,
     check_template,
     committed,
     count_y4m_frames,
@@ -87,13 +89,13 @@ def _require_file(path: str) -> None:
         raise _UsageError(f"no such file: {path}")
 
 
-def _to_int(name: str, value) -> int:
-    if isinstance(value, int):
-        return value
+def _to_int(name: str, text: str) -> int:
+    """``text`` by the integer rule of Y4M tags and sidecar fields, which
+    every number the program reads follows: ASCII digits, optional "-"."""
     try:
-        return int(str(value), 10)
+        return _parse_int(text)
     except ValueError:
-        raise _UsageError(f"{name} must be an integer, got {value!r}") from None
+        raise _UsageError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _byte_total(text: str) -> int | float:
@@ -137,18 +139,16 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _resolve_motion(ns) -> tuple[MotionConfig, str | None, str | None]:
-    """Merge flags over config-file values over defaults."""
+    """Merge flags over config-file values over defaults, parsing each
+    value the one way whichever of the two gave it."""
     file_values = _load_config(ns.config) if getattr(ns, "config", None) else {}
 
     def pick(name):
         flag = getattr(ns, name, None)
         return flag if flag is not None else file_values.get(name)
 
-    overrides = {}
-    for flag, field, _ in _MOTION_FLAGS:
-        value = pick(flag)
-        if value is not None:
-            overrides[field] = _to_int(flag, value)
+    overrides = {field: _to_int(flag, value) for flag, field, _ in _MOTION_FLAGS
+                 if (value := pick(flag)) is not None}
     try:
         config = MotionConfig(**overrides)
     except ValueError as exc:
@@ -476,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = {field.name: field.default for field in fields(MotionConfig)}
     for flag, field, prose in _MOTION_FLAGS:
         group.add_argument(
-            "--" + flag.replace("_", "-"), type=int,
-            help=f"{prose} (default {defaults[field]})",
+            "--" + flag.replace("_", "-"), help=f"{prose} (default {defaults[field]})",
         )
     group.add_argument(
         "--config",
@@ -527,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", parents=[report],
         help="reduction percentages and pixel-change statistics",
     )
-    stats.add_argument("--frames-in", type=int)
-    stats.add_argument("--frames-out", type=int)
+    stats.add_argument("--frames-in", type=functools.partial(_to_int, "--frames-in"))
+    stats.add_argument("--frames-out", type=functools.partial(_to_int, "--frames-out"))
     stats.add_argument("--bytes-in", type=_byte_total)
     stats.add_argument("--bytes-out", type=_byte_total)
     stats.add_argument("--raw", help="original video (Y4M) for file mode")
@@ -541,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--input", help="video for --pixel-change")
     threshold = inspect.signature(pixel_change_series).parameters["threshold"]
     stats.add_argument(
-        "--threshold", type=int, default=threshold.default,
+        "--threshold", type=functools.partial(_to_int, "threshold"),
+        default=threshold.default,
         help=f"pixel-change threshold, 0-255 (default {threshold.default})",
     )
     stats.set_defaults(func=cmd_stats)
@@ -551,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time repeated compression runs of one input",
     )
     bench.add_argument(
-        "--replicates", type=int, default=3,
+        "--replicates", type=functools.partial(_to_int, "replicates"), default=3,
         help="number of timed runs (default 3)",
     )
     bench.set_defaults(func=cmd_bench)

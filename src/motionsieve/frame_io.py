@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import shlex
 import signal
+import stat
 import subprocess
 import threading
 from contextlib import contextmanager
@@ -58,10 +59,10 @@ _STDERR_TAIL = 8192
 # Seconds a codec child is waited for once its stream has failed, and its
 # stderr tail once it exited nonzero; a child still running then is killed.
 _GRACE_SECONDS = 5.0
-# Bytes asked of the kernel for each codec pipe: Linux's default
-# pipe-max-size for unprivileged processes, so a 3.1 MB 1080p frame
-# crosses in about 3 wakeups instead of about 48 through the default
-# 64 KiB pipe.
+# Bytes asked of the kernel for each pipe a stream is built over, such as
+# a codec's or stdin: Linux's default pipe-max-size for unprivileged
+# processes, so a 3.1 MB 1080p frame crosses in about 3 wakeups instead of
+# about 48 through the default 64 KiB pipe.
 _PIPE_BYTES = 1 << 20
 # Largest accepted frame edge: 16K video fits, and a hostile header cannot
 # make a reader ask for a multi-gigabyte payload.
@@ -112,7 +113,10 @@ class StreamHeader:
     """Per-stream metadata: dimensions, frame rate, pixel layout, extra tags.
 
     ``extra_tags`` holds unrecognized Y4M tokens (interlacing, aspect,
-    ``X`` extensions) verbatim, in their original order.
+    ``X`` extensions) verbatim, in their original order.  ``colorspace``
+    is the value of the C tag, which names ``pixel_format``: the format's
+    own (``420``, ``444`` or ``mono``) unless given, as a header read with
+    a 4:2:0 siting such as ``C420jpeg`` gives it.
     """
 
     width: int
@@ -121,6 +125,7 @@ class StreamHeader:
     fps_den: int = 1
     pixel_format: PixelFormat = PixelFormat.YUV420
     extra_tags: tuple[str, ...] = ()
+    colorspace: str | None = None
 
     def __post_init__(self) -> None:
         if self.width > _MAX_DIMENSION or self.height > _MAX_DIMENSION:
@@ -128,6 +133,13 @@ class StreamHeader:
         _check_layout(self.width, self.height, self.pixel_format)
         if self.fps_num < 1 or self.fps_den < 1:
             raise ValueError("frame rate must be positive")
+        if self.colorspace is None:
+            own = _FORMAT_TO_COLORSPACE[self.pixel_format]
+            object.__setattr__(self, "colorspace", own)
+        elif _COLORSPACE_TO_FORMAT.get(self.colorspace) is not self.pixel_format:
+            raise ValueError(
+                f"C{self.colorspace} does not name {self.pixel_format.value}"
+            )
 
     @property
     def fps(self) -> float:
@@ -224,7 +236,7 @@ def parse_y4m_header(stream: BinaryIO) -> StreamHeader:
             raise UnsupportedColorspace(f"C{colorspace}") from None
     try:
         return StreamHeader(
-            width, height, fps_num, fps_den, pixel_format, tuple(extras)
+            width, height, fps_num, fps_den, pixel_format, tuple(extras), colorspace
         )
     except ValueError as exc:
         raise MalformedHeader(str(exc)) from None
@@ -253,7 +265,7 @@ def serialize_y4m_header(header: StreamHeader) -> bytes:
         f"W{header.width}",
         f"H{header.height}",
         f"F{header.fps_num}:{header.fps_den}",
-        f"C{_FORMAT_TO_COLORSPACE[header.pixel_format]}",
+        f"C{header.colorspace}",
         *header.extra_tags,
     ]
     return (" ".join(tokens) + "\n").encode("ascii")
@@ -280,10 +292,15 @@ class _Stream:
     start, such as a Y4M header read or write, a frame read, a write, a
     flush and close()'s finish) runs through ``_or_abort``, so a step that
     fails ends the stream before its error leaves: a second flush into a
-    codec child that stalled without reading would block."""
+    codec child that stalled without reading would block.  Once a failed
+    step, close() or abort() has ended the stream, close() does nothing,
+    so a close in a ``finally`` cannot replace the error that ended it."""
+
+    _ended = False
 
     def __init__(self, stream, *args):
         self._stream = stream
+        _widen_pipe(stream)
         self._or_abort(self._start, *args)
 
     def __enter__(self):
@@ -296,10 +313,14 @@ class _Stream:
             self.abort()
 
     def close(self) -> None:
+        if self._ended:
+            return
         self._or_abort(self._finish)
+        self._ended = True
         self._end(kill=False)
 
     def abort(self) -> None:
+        self._ended = True
         try:
             self._end(kill=True)
         except Exception:
@@ -367,8 +388,8 @@ class RawReader(_Stream):
         return _read_exact(self._stream, self.header.frame_size()) or None
 
     def __iter__(self) -> Iterator[Frame]:
-        while (frame := self.read()) is not None:
-            yield frame
+        # No local holds a frame while the next one is read.
+        return iter(self.read, None)
 
 
 class Y4MReader(RawReader):
@@ -582,7 +603,6 @@ class _CodecChild(_Stream):
         except OSError as exc:
             raise SpawnFailure(f"cannot run {argv[0]!r}: {exc}") from exc
         self._pipe = self._proc.stdin if writes else self._proc.stdout
-        _widen_pipe(self._pipe)
         self._stderr = _StderrDrain(self._proc.stderr)
         super().__init__(self._pipe, *args)
 
@@ -633,16 +653,20 @@ class _CodecChild(_Stream):
             raise NonZeroExit(f"{message}: {detail}" if detail else message) from cause
 
 
-def _widen_pipe(pipe) -> None:
-    """Enlarge a pipe's kernel buffer to _PIPE_BYTES where the platform
-    allows it; a refusal (a lower pipe-max-size, the per-user pipe quota)
+def _widen_pipe(stream) -> None:
+    """Enlarge the kernel buffer of the pipe under ``stream`` to
+    _PIPE_BYTES where the platform allows it.  A stream with no
+    descriptor, such as io.BytesIO, or one that is not a pipe is left
+    alone; a refusal (a lower pipe-max-size, the per-user pipe quota)
     leaves the default size, which is slower but correct."""
     set_size = getattr(fcntl, "F_SETPIPE_SZ", None)
     if set_size is None:
         return
     try:
-        fcntl.fcntl(pipe.fileno(), set_size, _PIPE_BYTES)
-    except OSError:
+        fd = stream.fileno()
+        if stat.S_ISFIFO(os.fstat(fd).st_mode):
+            fcntl.fcntl(fd, set_size, _PIPE_BYTES)
+    except (AttributeError, OSError, ValueError):
         pass
 
 

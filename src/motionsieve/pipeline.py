@@ -142,6 +142,8 @@ def _kept(frames: Iterable[Frame], config: MotionConfig) -> Iterator:
                 record, previous_input, record.output_frame
             ).input_frame
             yield outcome
+        # Hold no frame while the next one is awaited.
+        del frame, outcome
 
 
 def reference_compress(
@@ -247,15 +249,16 @@ def _run_stages(
         finally:
             in_caller.discard(name)
 
+    # Once a stage has handed an item on, no local of its loop holds it
+    # while the stage waits for the next: it would outlive the bound the
+    # links set by one item a stage.
     def pull(items):
         """``items``, each next() made through ``caller``."""
         items = iter(items)
-        while (item := caller("read", next, items, _SENTINEL)) is not _SENTINEL:
-            yield item
+        yield from iter(lambda: caller("read", next, items, _SENTINEL), _SENTINEL)
 
     def drain(link: _Link):
-        while (item := link.get()) is not _SENTINEL:
-            yield item
+        yield from iter(link.get, _SENTINEL)
 
     def pump(items: Iterator, link: _Link) -> int:
         count = 0
@@ -267,13 +270,16 @@ def _run_stages(
             link.put(item)
             if item is _SENTINEL:
                 return count
+            del item
             count += 1
 
     def write(items) -> int:
-        position = -1
-        for position, item in enumerate(items):
+        position = 0
+        for item in items:
             caller("write", emit, position, item)
-        return position + 1
+            del item
+            position += 1
+        return position
 
     def stage(name: str, items: Iterator, feeds: _Link | None = None) -> None:
         """Start stage ``name``, which puts ``items`` on ``feeds`` or, with

@@ -108,6 +108,8 @@ def reconstruct_stream(
                 rec_frame(env, gray[rows], restored[rows])
         restored.flags.writeable = False
         yield RebuiltFrame(record.input_frame, record.full_frame, frame, restored)
+        # Hold no position while the next frame is awaited.
+        del frame, gray, restored
     if next(record_iter, None) is not None:
         raise SidecarMismatch("sidecar has more rows than video frames")
 
@@ -146,7 +148,9 @@ def _write_playback(
     position queued between them.  The first error of either is raised as
     it was raised; the files are closed once both are done, or aborted."""
     dl_partial, fgbg_partial, align_partial = partials
-    mono_header = replace(header, pixel_format=PixelFormat.GRAY8, extra_tags=())
+    mono_header = replace(
+        header, pixel_format=PixelFormat.GRAY8, extra_tags=(), colorspace=None
+    )
     with ExitStack() as streams:
         dl_writer = streams.enter_context(Y4MWriter(open(dl_partial, "wb"), header))
         fgbg_writer = streams.enter_context(

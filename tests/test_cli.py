@@ -17,6 +17,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:  # not POSIX
+    fcntl = None
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -434,6 +439,22 @@ def test_argument_errors_keep_the_error_contract(argv):
         (["reconstruct", "--input", "{src}", "--sidecar", "{src}",
           "--output", "{tmp}/r", "--decode-cmd", "cat '{input}"], None,
          "decode command template cannot be split: No closing quotation"),
+        # Every integer is ASCII digits with an optional leading "-", as in
+        # a Y4M tag or a sidecar field, though int() takes more.
+        (["compress", "--threshold", "2_5"], None,
+         "threshold must be an integer, got '2_5'\n"),
+        (["compress", "--buffer", " +3 "], None,
+         "buffer must be an integer, got ' +3 '\n"),
+        (["compress", "--config", "{tmp}/bad.conf"], "threshold = ٢٥\n",
+         "threshold must be an integer, got '٢٥'\n"),
+        (["compress", "--raw-format", "gray8", "--size", "1_6x16"], None,
+         "size must be an integer, got '1_6'\n"),
+        (["compress", "--raw-format", "gray8", "--size", "16x16", "--fps", "3_0"],
+         None, "fps must be an integer, got '3_0'\n"),
+        (["stats", "--frames-in", "1_0", "--frames-out", "5"], None,
+         "--frames-in must be an integer, got '1_0'\n"),
+        (["bench", "--input", "{src}", "--replicates", "+3"], None,
+         "replicates must be an integer, got '+3'\n"),
     ],
     ids=["config-missing", "config-directory", "config-without-equals",
          "bad-size", "raw-with-decode-cmd", "stdin-with-decode-cmd",
@@ -441,12 +462,15 @@ def test_argument_errors_keep_the_error_contract(argv):
          "odd-yuv420-size", "zero-fps", "bytes-in-inf", "bytes-in-nan",
          "bytes-negative", "unbalanced-decode-flag", "unbalanced-encode-flag",
          "unbalanced-decode-config", "unbalanced-encode-config",
-         "reconstruct-unbalanced-decode-flag"],
+         "reconstruct-unbalanced-decode-flag", "threshold-underscore",
+         "buffer-plus-and-spaces", "config-arabic-digits", "size-underscore",
+         "fps-underscore", "frames-in-underscore", "replicates-plus"],
 )
 def test_argument_errors_found_after_parsing(tmp_path, argv, config, detail):
-    """Argument errors caught past argparse, in the config file, the input
-    flags, the codec templates or the stats modes, keep the one-line
-    contract and exit 2 before any output is made."""
+    """Argument errors caught past argparse's own checks, in the config
+    file, the input flags, the codec templates, the stats modes or an
+    integer's digits, keep the one-line contract and exit 2 before any
+    output is made."""
     src = os.path.join(tmp_path, "sq.y4m")
     write_square_y4m(src)
     if config is not None:
@@ -518,6 +542,42 @@ def test_compress_refuses_an_output_that_would_replace_its_stdin(tmp_path):
     assert "would replace --input -" in err
     assert src.read_bytes() == before
     assert os.listdir(tmp_path) == ["clip.y4m"]
+
+
+def test_compress_reads_a_stdin_pipe_widened_to_one_mib(tmp_path):
+    """A camera piped into `compress --input -` is read through a 1 MiB
+    pipe, as a codec's output is, and compresses as the same clip read
+    from a file does."""
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipes cannot be resized here")
+    probe = os.pipe()
+    try:
+        fcntl.fcntl(probe[1], fcntl.F_SETPIPE_SZ, 1 << 20)
+    except OSError as exc:
+        pytest.skip(f"the kernel refuses a 1 MiB pipe: {exc}")
+    finally:
+        for fd in probe:
+            os.close(fd)
+    src = tmp_path / "sq.y4m"
+    write_square_y4m(src)
+    read_end, write_end = os.pipe()
+    try:
+        # The clip fits a default pipe, so it is written before the run.
+        with os.fdopen(write_end, "wb") as camera:
+            camera.write(src.read_bytes())
+        assert fcntl.fcntl(read_end, fcntl.F_GETPIPE_SZ) < 1 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "motionsieve.cli", "compress", "--input", "-",
+             "--output", str(tmp_path / "piped")],
+            stdin=read_end, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert fcntl.fcntl(read_end, fcntl.F_GETPIPE_SZ) == 1 << 20
+    finally:
+        os.close(read_end)
+    assert [(tmp_path / f"piped{suffix}").read_bytes() for suffix in (".y4m", ".csv")] == (
+        _compressed_bytes(str(src), str(tmp_path / "file"), [])
+    )
 
 
 def test_compress_refuses_an_output_that_would_replace_its_config(tmp_path):
@@ -667,6 +727,39 @@ def test_raw_input_frame_rate(tmp_path, fps, tag):
     assert code == 0, err
     with open(prefix + ".y4m", "rb") as fh:
         assert fh.readline() == b"YUV4MPEG2 W16 H16 " + tag + b" Cmono\n"
+
+
+@pytest.mark.parametrize("siting", ["420jpeg", "420mpeg2", "420paldv"])
+def test_compress_and_reconstruct_keep_the_420_siting(tmp_path, siting):
+    """A clip whose header reads C420jpeg, C420mpeg2 or C420paldv gives the
+    bytes the same clip gives as C420, except that compress's video and
+    reconstruct's .dl.y4m keep the token read; the gray .fgbg.y4m is
+    Cmono either way."""
+    header = StreamHeader(40, 32, 30, 1, PixelFormat.YUV420)
+    plain = frames_to_y4m(header, moving_square_video(40, 32, 12, PixelFormat.YUV420))
+    token = f" C{siting}\n".encode("ascii")
+    suffixes = (".y4m", ".csv", "r.dl.y4m", "r.fgbg.y4m", "r.align.csv")
+    outputs = {}
+    for name, clip in ("plain", plain), ("sited", plain.replace(b" C420\n", token, 1)):
+        src = tmp_path / f"{name}.in.y4m"
+        src.write_bytes(clip)
+        prefix = str(tmp_path / name)
+        for argv in (
+            ["compress", "--input", str(src), "--output", prefix],
+            ["reconstruct", "--input", prefix + ".y4m", "--sidecar", prefix + ".csv",
+             "--output", prefix + "r"],
+        ):
+            code, _, err = run_cli(argv)
+            assert code == 0, err
+        outputs[name] = [Path(prefix + suffix).read_bytes() for suffix in suffixes]
+    assert outputs["sited"][0].startswith(b"YUV4MPEG2 W40 H32 F30:1" + token)
+    assert outputs["sited"][3].startswith(b"YUV4MPEG2 W40 H32 F30:1 Cmono\n")
+    assert outputs["sited"] == [
+        blob.replace(b" C420\n", token, 1) if suffix in (".y4m", "r.dl.y4m") else blob
+        for suffix, blob in zip(suffixes, outputs["plain"])
+    ]
+    # Masked rows, so the rebuild ran on more than full frames.
+    assert outputs["plain"][1].count(b",0\n") > 1
 
 
 def test_raw_yuv444_compresses_like_its_c444_clip(tmp_path):

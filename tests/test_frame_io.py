@@ -100,6 +100,33 @@ def test_parse_header_preserves_unknown_tags():
     assert again == header
 
 
+@pytest.mark.parametrize("siting", ["420jpeg", "420mpeg2", "420paldv"])
+def test_a_header_keeps_its_420_siting(siting):
+    """A 4:2:0 header is written back with the C token it was read with,
+    beside an X tag that names a siting too."""
+    line = f"YUV4MPEG2 W4 H2 F25:1 C{siting} Ip XYSCSS=420MPEG2\n"
+    header = parse_y4m_header(header_stream(line))
+    assert (header.pixel_format, header.colorspace) == (PixelFormat.YUV420, siting)
+    assert header.extra_tags == ("Ip", "XYSCSS=420MPEG2")
+    assert serialize_y4m_header(header) == line.encode("ascii")
+    assert parse_y4m_header(header_stream(line)) == header
+
+
+@pytest.mark.parametrize(
+    "pixel_format, token",
+    [(PixelFormat.GRAY8, "Cmono"), (PixelFormat.YUV444, "C444"),
+     (PixelFormat.YUV420, "C420")],
+)
+def test_a_header_built_in_code_writes_its_format_token(pixel_format, token):
+    header = StreamHeader(4, 2, 30, 1, pixel_format)
+    assert serialize_y4m_header(header) == f"YUV4MPEG2 W4 H2 F30:1 {token}\n".encode()
+
+
+def test_a_header_refuses_a_colorspace_of_another_format():
+    with pytest.raises(ValueError, match="^C420jpeg does not name gray8$"):
+        StreamHeader(4, 2, 30, 1, PixelFormat.GRAY8, colorspace="420jpeg")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -412,6 +439,39 @@ def test_y4m_writer_close_releases_its_stream_when_the_flush_fails():
     finally:
         if not stream.closed:
             stream.raw.close()
+
+
+class _FullAfterHeader(io.BytesIO):
+    """An in-memory file that takes the header line and then refuses every
+    write as a full disk does."""
+
+    def write(self, data):
+        if self.tell():
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+def test_close_after_a_failed_write_does_nothing():
+    """The write the disk refused ended the stream, so a later close(), as
+    in a ``finally``, does not report the closed file in place of it."""
+    header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
+    stream = _FullAfterHeader()
+    writer = Y4MWriter(stream, header)
+    try:
+        with pytest.raises(SinkUnavailable, match="No space left on device$"):
+            writer.write_frame(gray_frame(np.zeros((4, 4), np.uint8)))
+    finally:
+        writer.close()
+    assert stream.closed
+
+
+def test_a_second_close_does_nothing():
+    header = StreamHeader(4, 4, 30, 1, PixelFormat.GRAY8)
+    stream = io.BytesIO()
+    writer = Y4MWriter(stream, header)
+    writer.close()
+    writer.close()
+    assert stream.closed
 
 
 def test_a_reader_whose_frame_read_fails_ends_its_stream():
@@ -733,10 +793,9 @@ def test_codec_decoder_failure_surfaces_on_close(tmp_path):
     assert "bitstream damaged" in str(excinfo.value)
 
 
-def test_codec_decoder_that_dies_mid_frame_reports_its_exit(tmp_path):
-    """A decoder that exits nonzero after cutting a frame short makes that
-    read raise NonZeroExit, chained to the cut frame's TruncatedFrame, and
-    the child is reaped before the error leaves."""
+def _dying_decoder(tmp_path):
+    """A CodecDecoder whose child writes one whole GRAY8 4x4 frame, cuts the
+    second short, says "bitstream damaged" on stderr and exits 9."""
     script = tmp_path / "dying_decoder.py"
     script.write_text(
         "import sys\n"
@@ -749,7 +808,14 @@ def test_codec_decoder_that_dies_mid_frame_reports_its_exit(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"data")
     template = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{input}}"
-    decoder = CodecDecoder(template, path)
+    return CodecDecoder(template, path)
+
+
+def test_codec_decoder_that_dies_mid_frame_reports_its_exit(tmp_path):
+    """A decoder that exits nonzero after cutting a frame short makes that
+    read raise NonZeroExit, chained to the cut frame's TruncatedFrame, and
+    the child is reaped before the error leaves."""
+    decoder = _dying_decoder(tmp_path)
     assert decoder.read() is not None
     with pytest.raises(NonZeroExit) as excinfo:
         decoder.read()
@@ -758,6 +824,18 @@ def test_codec_decoder_that_dies_mid_frame_reports_its_exit(tmp_path):
     )
     assert isinstance(excinfo.value.__cause__, TruncatedFrame)
     assert decoder._proc.returncode == 9
+
+
+def test_close_after_a_decoder_died_mid_frame_does_nothing(tmp_path):
+    """The read that found the decoder's exit ended the stream, so a later
+    close(), as in a ``finally``, does not raise the exit again."""
+    decoder = _dying_decoder(tmp_path)
+    try:
+        decoder.read()
+        with pytest.raises(NonZeroExit, match="status 9: bitstream damaged$"):
+            decoder.read()
+    finally:
+        decoder.close()
 
 
 def test_codec_encoder_nonzero_exit_on_close(tmp_path):

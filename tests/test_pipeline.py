@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from motionsieve import (
     DimensionMismatch,
+    Frame,
     MalformedRow,
     MotionConfig,
     NonMonotonicIndex,
@@ -490,6 +492,75 @@ def test_ctrl_c_waits_once_for_all_stuck_stages():
         release.set()
         interrupter.join(15.0)
         signal.signal(signal.SIGINT, previous)
+
+
+def _assert_let_go_once_written(pixel_format, run):
+    """Start ``run(source)`` on a thread, with a source that yields a 64x48
+    frame 0 over a watched read-only array and then blocks.  Once a
+    Y4MWriter has written that frame, no stage may hold it: the array must
+    be freed within 2 s while the source still blocks."""
+    payload = np.full(pixel_format.frame_size(64, 48), 90, np.uint8)
+    payload.flags.writeable = False
+    watched = weakref.ref(payload)
+    frames = [Frame(0, 64, 48, pixel_format, payload)]
+    del payload
+    written, release = threading.Event(), threading.Event()
+
+    def source():
+        yield frames.pop()
+        release.wait(10)
+
+    real = Y4MWriter.write_frame
+
+    def write_frame(self, frame):
+        real(self, frame)
+        written.set()
+
+    with mock.patch.object(Y4MWriter, "write_frame", write_frame):
+        thread = threading.Thread(target=run, args=(source(),))
+        thread.start()
+        try:
+            assert written.wait(10)
+            deadline = time.monotonic() + 2
+            while watched() is not None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert watched() is None
+        finally:
+            release.set()
+            thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_a_written_frame_is_let_go_while_the_source_blocks():
+    """No stage of a compress run keeps a frame once it is written."""
+    header = StreamHeader(64, 48, 30, 1, PixelFormat.GRAY8)
+    video, sidecar = io.BytesIO(), io.StringIO()
+
+    def run(source):
+        run_pipeline(source, MotionConfig(), Y4MWriter(video, header),
+                     SidecarWriter(sidecar))
+
+    _assert_let_go_once_written(PixelFormat.GRAY8, run)
+    assert video.getvalue() == serialize_y4m_header(header) + b"FRAME\n" + bytes(
+        [90] * 64 * 48
+    )
+    assert sidecar.getvalue().splitlines()[1:] == ["0,0,1"]
+
+
+def test_a_rebuilt_position_is_let_go_while_the_source_blocks(tmp_path):
+    """No stage of a reconstruct run keeps the colour frame of a position
+    once it is written."""
+    header = StreamHeader(64, 48, 30, 1, PixelFormat.YUV420)
+    prefix = str(tmp_path / "r")
+
+    def run(source):
+        reconstruct_files(source, header, [SidecarRecord(0, 0, True)], prefix)
+
+    _assert_let_go_once_written(PixelFormat.YUV420, run)
+    with open(prefix + ".dl.y4m", "rb") as fh:
+        assert [bytes(frame.data) for frame in Y4MReader(fh)] == [
+            bytes([90] * header.frame_size())
+        ]
 
 
 def _peak_traced_bytes(side, count, sink_seconds=0.005):
